@@ -448,16 +448,15 @@ def save_graph(g: Graph, path) -> None:
         "name": g.name,
     }
     (root / _META).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    # Python ints format ~3x faster than numpy scalars, to the same text
     with (root / _EDGES).open("w") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u}\t{v}\n")
+        fh.writelines(f"{u}\t{v}\n" for u, v in g.edges.tolist())
     with (root / _FEATURES_BIN).open("wb") as fh:
         fh.write(np.asarray(g.features.shape, dtype="<u8").tobytes())
         fh.write(g.features.astype("<f8").tobytes())
     labels = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
     with (root / _LABELS).open("w") as fh:
-        for y in labels:
-            fh.write(f"{y}\n")
+        fh.writelines(f"{y}\n" for y in labels.tolist())
 
 
 # feature transforms applied by CLI flag, never by the loader

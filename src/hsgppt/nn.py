@@ -82,10 +82,15 @@ class LinearLayer:
             of ds @ W^T (the caller can fold W^T in later, which is cheaper
             when only a few rows of dx are needed)."""
             dout = np.asarray(dout, dtype=np.float64)
-            ds = act_vjp(dout)
-            if accumulate and self.alpha is not None:
+            if self.alpha is None:
+                ds = act_vjp(dout)
+            else:
                 neg = s < 0
-                self.alpha.grad += np.sum(dout[neg] * s[neg])
+                ds = act_vjp(dout, neg)
+                if accumulate:
+                    # one compaction; it keeps the products dout[neg] * s[neg]
+                    # in the same order, so the sum is unchanged bit for bit
+                    self.alpha.grad += np.sum((dout * s)[neg])
             if accumulate:
                 self.weight.grad += x.T @ ds
                 self.bias.grad += ds.sum(axis=0)
@@ -96,17 +101,27 @@ class LinearLayer:
     def activate(self, s):
         """The activation alone on pre-activations s: (out, vjp), vjp(dout) -> ds.
 
-        Leaves every parameter grad untouched (frozen use, or apply's own vjp,
-        which adds the slope gradient itself).
+        vjp takes the mask s < 0 as an optional second argument when the
+        caller already has it. Leaves every parameter grad untouched (frozen
+        use, or apply's own vjp, which adds the slope gradient itself).
         """
         if self.alpha is None:
-            return s, lambda dout: dout
+            return s, lambda dout, neg=None: dout
         a = float(self.alpha.value)
         # equals where(s < 0, a s, s) bit for bit (up to the sign of a zero)
         # and runs at memory speed, where a masked select does not
         out = np.maximum(s, 0.0)
         out += a * np.minimum(s, 0.0)
-        return out, lambda dout: np.where(s < 0, a * dout, dout)
+        slope = np.array([1.0, a])
+
+        def vjp(dout, neg=None):
+            # where(s < 0, a dout, dout) bit for bit, gathered from the slope
+            # table [1, a]: about twice as fast as the masked select
+            if neg is None:
+                neg = s < 0
+            return dout * slope[neg.view(np.uint8)]
+
+        return out, vjp
 
     def forward(self, x):
         out, vjp = self.apply(x)
@@ -330,36 +345,45 @@ def pack_arrays(magic: bytes, meta_ints, named_arrays, meta_floats=()) -> bytes:
 
 
 def unpack_arrays(blob: bytes, magic: bytes):
-    """Inverse of pack_arrays: (meta_ints, meta_floats, [(name, array)])."""
+    """Inverse of pack_arrays: (meta_ints, meta_floats, [(name, array)]).
+
+    Raises ValueError on a wrong magic or version, on a blob cut short
+    anywhere, and on bytes left over after the last array.
+    """
     if blob[:8] != magic:
         raise ValueError(f"bad magic: {blob[:8]!r}")
     off = 8
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(n_bytes):
+        nonlocal off
+        if n_bytes > len(blob) - off:
+            raise ValueError(
+                f"truncated: {n_bytes} bytes needed at offset {off}, {len(blob) - off} left"
+            )
+        off += n_bytes
+        return off - n_bytes
+
+    def read(fmt):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
+
+    (version,) = read("<I")
     if version != 1:
         raise ValueError(f"unsupported version {version}")
-    (n_ints,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    meta_ints = list(struct.unpack_from(f"<{n_ints}q", blob, off))
-    off += 8 * n_ints
-    (n_floats,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    meta_floats = list(struct.unpack_from(f"<{n_floats}d", blob, off))
-    off += 8 * n_floats
-    (n_arrays,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (n_ints,) = read("<I")
+    meta_ints = list(read(f"<{n_ints}q"))
+    (n_floats,) = read("<I")
+    meta_floats = list(read(f"<{n_floats}d"))
+    (n_arrays,) = read("<I")
     arrays = []
     for _ in range(n_arrays):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off)
-        off += 8 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        arrays.append((name, arr.astype(np.float64)))
+        (name_len,) = read("<H")
+        start = take(name_len)
+        name = blob[start:off].decode("utf-8")
+        (ndim,) = read("<B")
+        shape = read(f"<{ndim}Q")
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count))
+        arrays.append((name, arr.reshape(shape).astype(np.float64)))
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes after the last array")
     return meta_ints, meta_floats, arrays

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, corrupt_features, laplacian
+from .graph import DatasetError, Graph, corrupt_features, laplacian
 from .nn import (
     Adam,
     BilinearDiscriminator,
@@ -28,7 +28,9 @@ from .nn import (
     softmax_over_filters_vjp,
     unpack_arrays,
 )
-from .spectral import FilterBank, beta_filter_apply
+# beta_filter_apply stays bound here for callers that look up or wrap the
+# per-kernel ladder through this module (bench/tracing.py does)
+from .spectral import FilterBank, bank_filter_apply, beta_filter_apply  # noqa: F401
 
 CHECKPOINT_MAGIC = b"HSGPNET1"
 
@@ -91,7 +93,7 @@ class Encoded:
 
 def filtered_views(L, bank: FilterBank, features: np.ndarray) -> list:
     """The bank's filtered feature matrices, computed once and reused."""
-    return [beta_filter_apply(L, k, r, features) for k, r in bank.filters]
+    return bank_filter_apply(L, bank.filters, features)
 
 
 def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
@@ -152,9 +154,10 @@ def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
         dweights[i] = np.einsum("ij,ij->j", dintegrated, z_k)
         dz_pos[i] = dz_pos[i] + weights[i][None, :] * dintegrated
     model.mix.grad += softmax_over_filters_vjp(weights, dweights)
-    for (z_p, vjp_p), (z_n, vjp_n), dp, dn in zip(pos_out, neg_out, dz_pos, dz_neg):
-        vjp_p(dp)
-        vjp_n(dn)
+    # the filtered views are constants: only the parameter grads are needed
+    for (_, vjp_p), (_, vjp_n), dp, dn in zip(pos_out, neg_out, dz_pos, dz_neg):
+        vjp_p(dp, project=False)
+        vjp_n(dn, project=False)
     return loss
 
 
@@ -244,13 +247,19 @@ def save_model(model: PretrainedModel, path) -> None:
 
 
 def load_model(path) -> PretrainedModel:
+    """Read a checkpoint; one that cannot be decoded raises DatasetError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return model_from_bytes(blob)
+    try:
+        return model_from_bytes(blob)
+    except ValueError as e:
+        raise DatasetError(f"unreadable checkpoint: {e}", path=path) from e
 
 
 def model_from_bytes(blob: bytes) -> PretrainedModel:
     meta, _, arrays = unpack_arrays(blob, CHECKPOINT_MAGIC)
+    if len(meta) < 3 or len(meta) != 3 + 2 * meta[2]:
+        raise ValueError(f"checkpoint header holds {len(meta)} integers")
     feature_dim, hidden_dim, n_filters = meta[0], meta[1], meta[2]
     pairs = tuple((meta[3 + 2 * i], meta[4 + 2 * i]) for i in range(n_filters))
     model = PretrainedModel(FilterBank(pairs), feature_dim, hidden_dim, seed=0)

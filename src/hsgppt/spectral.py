@@ -6,9 +6,11 @@ The bank of order C holds the C+1 kernels
     k + r = C,
 
 over the normalized-Laplacian spectrum [0, 2]. g_{0,C} is the low-pass end,
-g_{C,0} the high-pass end, interior members are band-pass. Filters are
-applied with k+r iterated sparse matrix-vector products; the Laplacian is
-never densified.
+g_{C,0} the high-pass end, interior members are band-pass. A bank is
+applied by walking the (I - L/2)^j ladder once and branching off each kernel
+where its r steps end, which takes C(C+1)/2 sparse matrix products for a full
+bank of order C (each kernel on its own would take k+r, C(C+1) in all); the
+Laplacian is never densified.
 """
 
 from __future__ import annotations
@@ -106,17 +108,47 @@ class FilterBank:
         return [beta_constant(k, r) for k, r in self.filters]
 
 
-def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:
-    """g_{k,r}(L) x via k+r sparse matvecs. x may be a vector or a matrix."""
+def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray) -> list:
+    """[g_{k,r}(L) x for (k, r) in filters], sharing the ladder prefixes.
+
+    Rung j of the ladder is (I - L/2)^j x, shared by every kernel with
+    r >= j. The one step (L/2) rung_j feeds both rung j+1 and the first L/2
+    step of each kernel with r = j, so a full bank of order C takes
+    C(C+1)/2 sparse matmuls. Each output is the same operations in the same
+    order as running its kernel alone, so it is equal bit for bit. x may be
+    a vector or a matrix; filters may be in any order.
+    """
     x = np.asarray(x, dtype=np.float64)
     if L.shape[1] != x.shape[0]:
         raise ValueError(f"L is {L.shape}, signal has {x.shape[0]} rows")
-    y = x
-    for _ in range(r):
-        y = y - 0.5 * (L @ y)
-    for _ in range(k):
-        y = 0.5 * (L @ y)
-    return beta_constant(k, r) * y
+    filters = list(filters)
+    consts = [beta_constant(k, r) for k, r in filters]  # validates k, r >= 0
+    out = [None] * len(filters)
+    top = max((r for _, r in filters), default=-1)
+    rung = x
+    for j in range(top + 1):
+        here = [i for i, (_, r) in enumerate(filters) if r == j]
+        half = None
+        if j < top or any(filters[i][0] for i in here):
+            half = L @ rung
+            half *= 0.5
+        for i in here:
+            y = half if filters[i][0] else rung
+            for _ in range(filters[i][0] - 1):
+                y = L @ y
+                y *= 0.5
+            out[i] = consts[i] * y
+        if j < top:
+            if j == 0:
+                rung = rung - half  # rung 0 is the caller's x
+            else:
+                rung -= half
+    return out
+
+
+def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:
+    """g_{k,r}(L) x via k+r sparse matvecs. x may be a vector or a matrix."""
+    return bank_filter_apply(L, ((k, r),), x)[0]
 
 
 def triple_filter_apply(L: sp.spmatrix, which: str, x: np.ndarray) -> np.ndarray:

@@ -83,6 +83,24 @@ def test_pretrain_tune_chain(tmp_path, capsys):
     assert "backbone hash verified" in capsys.readouterr().out
 
 
+def test_damaged_checkpoint_is_data_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    pre = tmp_path / "pre"
+    assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4,
+               "--epochs", 1, "--patience", 1) == EXIT_OK
+    blob = (pre / "model.ckpt").read_bytes()
+    ckpt = tmp_path / "damaged.ckpt"
+    # cuts in the magic, the version, the header integers and the last
+    # array's data, and one trailing byte too many
+    for damaged in (blob[:5], blob[:13], blob[:40], blob[:-9], blob + b"\0"):
+        ckpt.write_bytes(damaged)
+        capsys.readouterr()
+        assert run("tune", "--data", data, "--ckpt", ckpt, "--out", tmp_path / "tun",
+                   "--k", 2, "--n-prompt", 3, "--epochs", 1) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(ckpt) in err, err
+
+
 def test_eval_deterministic_report(tmp_path):
     data = gen(tmp_path)
     out = tmp_path / "ev"

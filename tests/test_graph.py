@@ -171,6 +171,22 @@ def test_dataset_roundtrip(tmp_path):
     assert h.n_classes == 2
 
 
+def test_save_graph_text_matches_per_line_format(tmp_path):
+    rng = np.random.default_rng(3)
+    edges = np.array([[0, 1], [1, 2], [0, 3], [2, 12345]])
+    feats = rng.standard_normal((12346, 2))
+    labels = rng.integers(-1, 3, size=12346)
+    for lab in (labels, None):
+        g = Graph("toy", edges, feats, labels=lab, n_classes=3 if lab is not None else None)
+        save_graph(g, tmp_path / "ds")
+        # the numpy-scalar f-string loop the text format was defined by
+        want_edges = "".join(f"{u}\t{v}\n" for u, v in g.edges)
+        ys = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
+        want_labels = "".join(f"{y}\n" for y in ys)
+        assert (tmp_path / "ds" / "edges.tsv").read_bytes() == want_edges.encode()
+        assert (tmp_path / "ds" / "labels.tsv").read_bytes() == want_labels.encode()
+
+
 def test_load_graph_errors(tmp_path):
     with pytest.raises(MissingFileError):
         load_graph(tmp_path / "nope")

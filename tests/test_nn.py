@@ -1,5 +1,7 @@
 """Layers, losses, optimizer, gradient checking, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -108,6 +110,46 @@ def test_linear_vjp_project_flag_consistency():
     dx = vjp(d)
     ds = vjp(d, project=False)
     assert np.allclose(ds @ layer.weight.value.T, dx, atol=0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_prelu_vjp_bit_exact_with_signed_zeros():
+    rng = np.random.default_rng(8)
+    layer = LinearLayer(4, 6, rng)
+    layer.alpha.value[...] = 0.3
+    a = 0.3
+    d = rng.standard_normal((7, 6))
+    d[0, :3] = [0.0, -0.0, -0.0]
+    # the activation alone, on pre-activations with zeros of both signs
+    s = rng.standard_normal((7, 6))
+    s[1, :4] = [0.0, -0.0, -1e-300, 1e-300]
+    _, act_vjp = layer.activate(s)
+    want = np.where(s < 0, a * d, d)
+    assert same_bits(act_vjp(d), want)
+    assert same_bits(act_vjp(d, s < 0), want)
+    # the full layer: zero input rows give pre-activations equal to the bias
+    x = rng.standard_normal((7, 4))
+    x[2] = 0.0
+    x[3] = -0.0
+    layer.bias.value[:2] = [0.0, -1e-300]
+    _, vjp = layer.apply(x)
+    s = x @ layer.weight.value + layer.bias.value
+    assert np.any(s == 0.0)
+    neg = s < 0
+    ds = vjp(d, project=False)
+    assert same_bits(ds, np.where(s < 0, a * d, d))
+    assert same_bits(layer.alpha.grad, np.sum(d[neg] * s[neg]))
+    # project=False returns ds and leaves the grads project=True would leave
+    grads = [p.grad.copy() for p in layer.params()]
+    for p in layer.params():
+        p.zero_grad()
+    assert same_bits(vjp(d), ds @ layer.weight.value.T)
+    for p, want in zip(layer.params(), grads):
+        assert same_bits(p.grad, want), p.name
 
 
 def test_linear_accumulate_false_leaves_grads():
@@ -307,6 +349,23 @@ def test_pack_unpack_round_trip():
         unpack_arrays(blob, b"OTHERMAG")
     with pytest.raises(ValueError, match="8 bytes"):
         pack_arrays(b"short", [], [])
+
+
+def test_unpack_rejects_every_truncation_and_trailing_bytes():
+    magic = b"HSGTEST\x00"
+    arrays = [("w", np.arange(6.0).reshape(2, 3)), ("scalar", np.asarray(2.5))]
+    blob = pack_arrays(magic, [7, -3], arrays, meta_floats=(0.25,))
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError, match="magic" if cut < 8 else "truncated"):
+            unpack_arrays(blob[:cut], magic)
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        unpack_arrays(blob + b"\0", magic)
+    # an array header claiming more data than the blob holds
+    blob = pack_arrays(magic, [], [("w", np.zeros(1))])
+    dim = len(blob) - 16  # the one dim, followed by one float64
+    blob = blob[:dim] + struct.pack("<Q", 2**62) + blob[dim + 8 :]
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_arrays(blob, magic)
 
 
 def test_gradcheck_report_types():

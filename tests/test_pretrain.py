@@ -1,13 +1,16 @@
 """Contrastive pre-training: loss oracle, loop behavior, persistence."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy.special import expit, softmax
 
 from hsgppt.csbm import CsbmParams, generate
-from hsgppt.graph import corrupt_features, laplacian
-from hsgppt.nn import NumericError, finite_diff_check
+from hsgppt.graph import DatasetError, corrupt_features, laplacian
+from hsgppt.nn import NumericError, finite_diff_check, pack_arrays
 from hsgppt.pretrain import (
+    CHECKPOINT_MAGIC,
     FrozenModel,
     PretrainConfig,
     PretrainedModel,
@@ -23,7 +26,7 @@ from hsgppt.pretrain import (
     pretrain_loss,
     save_model,
 )
-from hsgppt.spectral import FilterBank, beta_constant
+from hsgppt.spectral import FilterBank, beta_constant, beta_filter_apply
 
 
 def small_graph(seed=0, n=14, f=4):
@@ -122,6 +125,24 @@ def test_pretrain_reduces_loss_and_is_deterministic():
     assert len(hist_a) <= 40
 
 
+def test_pretrain_bit_identical_to_per_filter_views(monkeypatch):
+    g = small_graph(n=80, f=8)
+    for cfg in (
+        PretrainConfig(order=3, hidden_dim=8, lr=5e-3, epochs=6, patience=6, seed=4),
+        PretrainConfig(filters=((2, 1), (0, 3)), hidden_dim=8, lr=5e-3, epochs=6, seed=4),
+    ):
+        shared, hist_shared = pretrain(g, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(
+                importlib.import_module("hsgppt.pretrain"),
+                "filtered_views",
+                lambda L, bank, x: [beta_filter_apply(L, k, r, x) for k, r in bank.filters],
+            )
+            alone, hist_alone = pretrain(g, cfg)
+        assert hist_shared == hist_alone
+        assert content_hash(shared) == content_hash(alone)
+
+
 def test_pretrain_restores_best_epoch_parameters():
     g = small_graph(n=40, f=8)
     cfg = PretrainConfig(order=2, hidden_dim=8, lr=5e-3, epochs=25, patience=25, seed=1)
@@ -167,6 +188,17 @@ def test_model_from_bytes_rejects_corruption():
     blob = model_bytes(model)
     with pytest.raises(ValueError, match="magic"):
         model_from_bytes(b"X" * len(blob))
+
+
+def test_load_model_damaged_checkpoint_is_data_error(tmp_path):
+    blob = model_bytes(PretrainedModel(FilterBank.full(1), 3, 4, seed=0))
+    path = tmp_path / "model.ckpt"
+    short_header = pack_arrays(CHECKPOINT_MAGIC, [3, 4], [])
+    for damaged in (blob[:20], blob[:-1], blob + b"\0", b"X" * len(blob), short_header):
+        path.write_bytes(damaged)
+        with pytest.raises(DatasetError, match="unreadable checkpoint") as info:
+            load_model(path)
+        assert info.value.path == path
 
 
 def test_freeze_locks_and_verifies():

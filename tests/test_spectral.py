@@ -10,6 +10,7 @@ from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import Graph, laplacian, laplacian_from_edges
 from hsgppt.spectral import (
     FilterBank,
+    bank_filter_apply,
     beta_constant,
     beta_filter_apply,
     class_distance_expectations,
@@ -104,6 +105,66 @@ def test_polynomial_apply_matches_eigenbasis_oracle():
                 got = beta_filter_apply(L, k, r, X)
                 want = U @ (np.asarray(filter_response((k, r), lam))[:, None] * (U.T @ X))
                 assert np.max(np.abs(got - want)) < 1e-8, (trial, k, r)
+
+
+def per_kernel_ladder(L, k, r, x):
+    # each kernel on its own: r steps of (I - L/2), then k steps of L/2
+    y = np.asarray(x, dtype=np.float64)
+    for _ in range(r):
+        y = y - 0.5 * (L @ y)
+    for _ in range(k):
+        y = 0.5 * (L @ y)
+    return beta_constant(k, r) * y
+
+
+class CountingOperator:
+    """Wraps L and counts the products taken with it."""
+
+    def __init__(self, L):
+        self.L = L
+        self.shape = L.shape
+        self.matmuls = 0
+
+    def __matmul__(self, y):
+        self.matmuls += 1
+        return self.L @ y
+
+
+def test_bank_engine_equals_per_kernel_ladder_bit_for_bit():
+    rng = np.random.default_rng(3)
+    g = generate(CsbmParams(n=60, f=5, d_avg=6.0, h=0.4, mu=4.0, seed=1))
+    L = laplacian(g, "normalized")
+    banks = [FilterBank.full(c).filters for c in range(6)]
+    banks += [FilterBank.low_pass(3).filters, ((2, 1), (0, 3))]
+    for filters in banks:
+        for x in (rng.standard_normal(60), rng.standard_normal((60, 4))):
+            op = CountingOperator(L)
+            keep = x.copy()
+            got = bank_filter_apply(op, filters, x)
+            assert np.array_equal(x, keep)  # the input is never overwritten
+            assert len(got) == len(filters)
+            for (k, r), y in zip(filters, got):
+                assert np.array_equal(y, per_kernel_ladder(L, k, r, x)), (filters, k, r)
+                assert np.array_equal(beta_filter_apply(L, k, r, x), y)
+            order = sum(filters[0])
+            if filters == FilterBank.full(order).filters:
+                assert op.matmuls == order * (order + 1) // 2, filters
+
+
+def test_bank_engine_single_kernels_and_guards():
+    L = laplacian(generate(CsbmParams(n=30, f=3, d_avg=4.0, h=0.5, mu=4.0, seed=2)), "normalized")
+    x = np.random.default_rng(4).standard_normal((30, 2))
+    # one kernel costs its own k + r products, as before
+    for k, r in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        op = CountingOperator(L)
+        (y,) = bank_filter_apply(op, ((k, r),), x)
+        assert op.matmuls == k + r
+        assert np.array_equal(y, per_kernel_ladder(L, k, r, x))
+    assert bank_filter_apply(L, (), x) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        bank_filter_apply(L, ((1, -1),), x)
+    with pytest.raises(ValueError, match="rows"):
+        bank_filter_apply(L, ((0, 1),), x[:-1])
 
 
 def test_triple_filters_match_eigenbasis_oracle():
