@@ -256,11 +256,35 @@ def load_model(path) -> PretrainedModel:
         raise DatasetError(f"unreadable checkpoint: {e}", path=path) from e
 
 
+def _checkpoint_shapes(n_filters: int, feature_dim: int, hidden_dim: int) -> dict:
+    """{parameter name: shape} of a PretrainedModel with these dims."""
+    shapes = {}
+    for i in range(n_filters):
+        shapes[f"enc{i}.weight"] = (feature_dim, hidden_dim)
+        shapes[f"enc{i}.bias"] = (hidden_dim,)
+        shapes[f"enc{i}.alpha"] = ()
+    shapes["mix"] = (n_filters, hidden_dim)
+    shapes["discriminator.weight"] = (hidden_dim, hidden_dim)
+    return shapes
+
+
 def model_from_bytes(blob: bytes) -> PretrainedModel:
+    """Decode a checkpoint; anything malformed raises ValueError.
+
+    The header's dims are checked against the stored array shapes before
+    the model is built, so what it allocates is bounded by the blob.
+    """
     meta, _, arrays = unpack_arrays(blob, CHECKPOINT_MAGIC)
     if len(meta) < 3 or len(meta) != 3 + 2 * meta[2]:
         raise ValueError(f"checkpoint header holds {len(meta)} integers")
     feature_dim, hidden_dim, n_filters = meta[0], meta[1], meta[2]
+    stored = {name: arr.shape for name, arr in arrays}
+    expected = _checkpoint_shapes(n_filters, feature_dim, hidden_dim)
+    if len(stored) != len(arrays) or stored != expected:
+        raise ValueError(
+            f"stored arrays do not match the header's {n_filters} filters, "
+            f"feature_dim {feature_dim}, hidden_dim {hidden_dim}"
+        )
     pairs = tuple((meta[3 + 2 * i], meta[4 + 2 * i]) for i in range(n_filters))
     model = PretrainedModel(FilterBank(pairs), feature_dim, hidden_dim, seed=0)
     by_name = dict(arrays)

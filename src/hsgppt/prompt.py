@@ -14,10 +14,22 @@ g(L') acts on rows and W on columns, so g(L')([X; P] W) = (g(L')[X; P]) W, and
 by linearity the original nodes' rows split into a base term g(L')[X W; 0]
 and G_p P W, with G_p = g(L')[:n, n:] the filter on the N_p prompt columns.
 Neither piece depends on the prompt values, and g(L') is symmetric, so the
-prompt gradient is G_p^T ds W^T. Within one tune(), predict() or gradient
-check closure, a branch whose cross and inner edge arrays equal those of a
-branch already built reuses its Laplacian, G_p and base term; an epoch whose
-wiring is unchanged then runs no sparse product at all.
+prompt gradient is G_p^T ds W^T.
+
+A training epoch's loss reads only the K-shot rows, so training forms both
+pieces, the mixed embeddings and the logits on those rows alone. The filter
+engine runs each step on the ball of rows that later steps read
+(bank_filter_apply with rows), and the rows of L' it reads are assembled from
+the base graph's CSR structure and the prompt wiring (_PromptedRows); the
+whole prompted Laplacian is never built for training. Validation, predict()
+and prompted_encode() read every row and take the full path:
+PromptedGraph.laplacian, then beta_filter_apply.
+
+Within one tune(), predict() or gradient check closure, operators are cached
+by edge set and row set: a branch whose cross and inner edge arrays equal
+those of a branch already built on the same rows reuses its Laplacian (rows),
+G_p and base term, so a training epoch whose wiring is unchanged runs no
+sparse product at all.
 """
 
 from __future__ import annotations
@@ -26,8 +38,16 @@ import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import DatasetSplit, Graph, edge_homophily, laplacian_from_edges
+from .graph import (
+    DatasetError,
+    DatasetSplit,
+    Graph,
+    edge_homophily,
+    laplacian,
+    laplacian_from_edges,
+)
 from .nn import (
     Adam,
     LinearLayer,
@@ -40,7 +60,7 @@ from .nn import (
     unpack_arrays,
 )
 from .pretrain import FrozenModel, derive_seed
-from .spectral import beta_filter_apply
+from .spectral import bank_filter_apply, beta_filter_apply
 
 STATE_MAGIC = b"HSGPPRM1"
 
@@ -228,9 +248,11 @@ def insert_prompt(
 class _Branch:
     """One filter's prompted operator plus the pieces backward needs.
 
-    base = (g(L') [X W; 0])[:n] and gp = g(L')[:n, n:], so the original
+    base = (g(L') [X W; 0])[rows] and gp = g(L')[rows, n:], so the original
     nodes' filtered pre-activations are base + gp (P_in W), P_in being
-    prompted.prompt_features.
+    prompted.prompt_features. rows are all original nodes, or the sorted
+    shot rows in training; lap holds (at least) the rows of L' the filter
+    read.
     """
 
     __slots__ = ("prompted", "lap", "base", "gp", "norm_vjp", "param")
@@ -244,54 +266,173 @@ class _Branch:
         self.param = param
 
 
-class _EdgeSetOperators:
-    """Prompted operators keyed by the exact edge arrays, for one call.
+def _ranges(starts, lens):
+    """Concatenated aranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
 
-    An entry holds the prompted Laplacian and, per filter, the base term and
-    G_p of _Branch; none depends on the prompt values. X and the frozen W_k
-    never change within a call, so X W_k is computed once per filter. Entries
-    used by the previous or the current build survive and older ones are
-    dropped, so a wiring that changes every epoch holds two builds' worth.
+
+def _two_segment_rows(ptr_a, a, ptr_b, b, q):
+    """(lengths, columns) of rows q, each its a-segment then its b-segment."""
+    la = ptr_a[q + 1] - ptr_a[q]
+    lb = ptr_b[q + 1] - ptr_b[q]
+    lens = la + lb
+    start = np.cumsum(lens) - lens
+    cols = np.empty(int(lens.sum()), dtype=np.int64)
+    cols[_ranges(start, la)] = a[_ranges(ptr_a[q], la)]
+    cols[_ranges(start + la, lb)] = b[_ranges(ptr_b[q], lb)]
+    return lens, cols
+
+
+def _pointers(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _base_pieces(g: Graph):
+    """(normalized Laplacian CSR, integer degrees) of the base graph."""
+    deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
+    deg += np.bincount(g.edges[:, 1], minlength=g.n_nodes)
+    return laplacian(g), deg
+
+
+class _PromptedRows:
+    """Rows of a prompted graph's normalized Laplacian, built from pieces.
+
+    The pieces are the base Laplacian's CSR structure and integer degrees
+    (one per graph), the cross pairs sorted by (node, prompt) and by
+    (prompt, node), and the prompt block with its diagonal. A base row is
+    its base columns then its prompts (all >= n); a prompt row is its nodes
+    then its prompt block columns. Both come out in ascending order, as in
+    the CSR that laplacian_from_edges sorts, and each value is the product
+    it forms: -(d_i^-1/2 d_j^-1/2) off the diagonal, 1 on it, with the
+    prompted degrees (base degrees plus a bincount of the cross endpoints).
+    So the rows equal laplacian_from_edges(pg.combined_edges())[rows] bit
+    for bit. The edge arrays must be canonical (no repeated pair).
+    """
+
+    def __init__(self, base_csr, base_deg, pg: PromptedGraph):
+        n = pg.base.n_nodes
+        n_p = pg.n_total - n
+        p, v = pg.cross_edges[:, 0], pg.cross_edges[:, 1]
+        iu, ju = pg.inner_edges[:, 0], pg.inner_edges[:, 1]
+        self.n = n
+        self.n_total = pg.n_total
+        self.base_ptr, self.base_cols = base_csr.indptr, base_csr.indices
+        self.node_ptr = _pointers(np.bincount(v, minlength=n))
+        self.node_prompts = n + p[np.lexsort((p, v))]
+        prompt_deg = np.bincount(p, minlength=n_p)
+        self.prompt_ptr = _pointers(prompt_deg)
+        self.prompt_nodes = v[np.lexsort((v, p))]
+        block = np.eye(n_p, dtype=bool)
+        block[iu, ju] = block[ju, iu] = True
+        bi, bj = np.nonzero(block)
+        self.block_ptr = _pointers(np.bincount(bi, minlength=n_p))
+        self.block_cols = n + bj
+        deg = np.concatenate(
+            [
+                base_deg + np.bincount(v, minlength=n),
+                prompt_deg + np.bincount(iu, minlength=n_p) + np.bincount(ju, minlength=n_p),
+            ]
+        ).astype(np.float64)
+        self.dinv = np.zeros(pg.n_total)
+        nz = deg > 0
+        self.dinv[nz] = 1.0 / np.sqrt(deg[nz])
+
+    def structure(self, q):
+        """(lengths, columns) of the sorted rows q of the prompted graph."""
+        split = np.searchsorted(q, self.n)
+        lb, cb = _two_segment_rows(
+            self.base_ptr, self.base_cols, self.node_ptr, self.node_prompts, q[:split]
+        )
+        lp, cp = _two_segment_rows(
+            self.prompt_ptr, self.prompt_nodes, self.block_ptr, self.block_cols, q[split:] - self.n
+        )
+        return np.concatenate([lb, lp]), np.concatenate([cb, cp])
+
+    def ball(self, rows, radius):
+        """N^radius[rows], sorted (every row lists its own diagonal)."""
+        q = np.unique(rows)
+        for _ in range(radius):
+            q = np.unique(self.structure(q)[1])
+        return q
+
+    def laplacian(self, q) -> sp.csr_matrix:
+        """(n_total x n_total) CSR holding rows q (sorted) of L'; other rows empty."""
+        lens, cols = self.structure(q)
+        at = np.repeat(q, lens)
+        data = -(self.dinv[at] * self.dinv[cols])
+        data[cols == at] = 1.0
+        counts = np.zeros(self.n_total, dtype=np.int64)
+        counts[q] = lens
+        return sp.csr_matrix((data, cols, _pointers(counts)), shape=(self.n_total, self.n_total))
+
+
+class _EdgeSetOperators:
+    """Prompted operators keyed by the exact edge arrays and rows, for one call.
+
+    An entry holds the prompted Laplacian (or, for a row set, the rows of it
+    the filter reads) and, per filter, the base term and G_p of _Branch on
+    those rows; none depends on the prompt values. X and the frozen W_k never
+    change within a call, so the filter input [X W_k, 0; 0, I] is formed once
+    per filter. Per row set, entries used by the previous or the current build
+    survive and older ones are dropped, so a wiring that changes every epoch
+    holds two builds' worth and a validation build never evicts the training
+    entries.
     """
 
     def __init__(self, g: Graph, model):
         self.g = g
         self.model = model
         self.stats = feature_stats(g.features)
-        self._xw = {}
-        self._prev = {}
-        self._cur = {}
+        self._signals = {}
+        self._base = None
+        self._gens = {}  # row set -> (previous build's entries, current build's)
 
-    def next_build(self):
-        self._prev, self._cur = self._cur, {}
+    def next_build(self, rows):
+        key = None if rows is None else rows.tobytes()
+        self._gens[key] = (self._gens.get(key, (None, {}))[1], {})
 
-    def get(self, pg: PromptedGraph, k: int):
-        """(Laplacian, base, gp) of filter k on pg's edge set."""
+    def get(self, pg: PromptedGraph, k: int, rows):
+        """(Laplacian, base, gp) of filter k on pg's edge set, on rows (None: all)."""
+        prev, cur = self._gens[None if rows is None else rows.tobytes()]
         key = (pg.n_total, pg.cross_edges.tobytes(), pg.inner_edges.tobytes())
-        entry = self._cur.get(key)
+        entry = cur.get(key)
         if entry is None:
-            entry = self._prev.get(key)
+            entry = prev.get(key)
             if entry is None:
-                entry = (pg.laplacian("normalized"), {})
-            self._cur[key] = entry
+                entry = (self._laplacian(pg, rows), {})
+            cur[key] = entry
         lap, blocks = entry
         if k not in blocks:
-            blocks[k] = self._filter_blocks(lap, k)
+            blocks[k] = self._filter_blocks(lap, k, rows)
         return (lap, *blocks[k])
 
-    def _filter_blocks(self, lap, k: int):
+    def _laplacian(self, pg: PromptedGraph, rows):
+        if rows is None:
+            return pg.laplacian("normalized")
+        if self._base is None:
+            self._base = _base_pieces(self.g)
+        assembled = _PromptedRows(*self._base, pg)
+        # a degree-C filter reads L' on the rows within C - 1 hops of rows
+        radius = max(self.model.bank.order - 1, 0)
+        return assembled.laplacian(assembled.ball(rows, radius))
+
+    def _filter_blocks(self, lap, k: int, rows):
         n = self.g.n_nodes
         n_p = lap.shape[0] - n
-        if k not in self._xw:
-            self._xw[k] = self.g.features @ self.model.encoders[k].weight.value
-        xw = self._xw[k]
-        h = xw.shape[1]
-        # one filter pass over [X W, 0; 0, I] gives the base term and G_p
-        m = np.zeros((n + n_p, h + n_p))
-        m[:n, :h] = xw
-        m[n:, h:] = np.eye(n_p)
+        h = self.model.hidden_dim
+        if (k, n_p) not in self._signals:
+            # one filter pass over [X W, 0; 0, I] gives the base term and G_p
+            m = np.zeros((n + n_p, h + n_p))
+            m[:n, :h] = self.g.features @ self.model.encoders[k].weight.value
+            m[n:, h:] = np.eye(n_p)
+            self._signals[k, n_p] = m
+        m = self._signals[k, n_p]
         kk, rr = self.model.bank.filters[k]
-        out = beta_filter_apply(lap, kk, rr, m)[:n]
+        if rows is None:
+            out = beta_filter_apply(lap, kk, rr, m)[:n]
+        else:
+            (out,) = bank_filter_apply(lap, ((kk, rr),), m, rows=rows)
         return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
 
 
@@ -309,10 +450,11 @@ def _wire(g: Graph, prompt: PromptGraph, normalize: bool, stats, held=None):
     return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross), norm_vjp
 
 
-def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None):
-    """One branch per filter, wired from the current prompts or, given the
-    branches of an earlier build as `held`, on their edge sets."""
-    ops.next_build()
+def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None, rows=None):
+    """One branch per filter on rows (None: every original node), wired from
+    the current prompts or, given the branches of an earlier build as `held`,
+    on their edge sets."""
+    ops.next_build(rows)
     wired = {}
     branches = []
     for k in range(ops.model.bank.size):
@@ -323,28 +465,36 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
                 g, prompt, state.normalize, ops.stats, None if held is None else held[k].prompted
             )
         pg, norm_vjp = wired[i]
-        lap, base, gp = ops.get(pg, k)
+        lap, base, gp = ops.get(pg, k, rows)
         branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompt.features))
     return branches
+
+
+def _loss_rows(shots):
+    """(sorted distinct shot rows, each shot's position among them)."""
+    shots = np.asarray(shots, dtype=np.int64).reshape(-1)
+    rows = np.unique(shots)
+    return rows, np.searchsorted(rows, shots)
 
 
 def tuning_loss_fn(g: Graph, frozen: FrozenModel, state: PromptState, shots):
     """Closure for gradient checking: edge sets frozen at the current prompts.
 
     The returned callable zeroes grads, reruns normalization and the forward
-    pass on the captured edge sets (and their filtered blocks), backpropagates,
-    and returns the loss.
+    pass on the captured edge sets (and their filtered blocks) on the shot
+    rows, as a training epoch does, backpropagates, and returns the loss.
     """
     ops = _EdgeSetOperators(g, frozen.model)
-    held = _build_branches(g, state, ops)
+    rows, at = _loss_rows(shots)
+    held = _build_branches(g, state, ops, rows=rows)
     params = state.tunable_params()
 
     def loss_fn():
         for p in params:
             p.zero_grad()
-        branches = _build_branches(g, state, ops, held=held)
+        branches = _build_branches(g, state, ops, held=held, rows=rows)
         _, logits, backward = _forward(g, frozen, state, branches, train=True)
-        loss, dlogits = softmax_cross_entropy(logits, g.labels, shots)
+        loss, dlogits = softmax_cross_entropy(logits, g.labels[rows], at)
         backward(dlogits)
         return loss
 
@@ -352,21 +502,21 @@ def tuning_loss_fn(g: Graph, frozen: FrozenModel, state: PromptState, shots):
 
 
 def _forward(g: Graph, frozen: FrozenModel, state: PromptState, branches, train: bool):
-    """Integrated embeddings and logits for original nodes.
+    """Integrated embeddings and logits on the branches' rows.
 
     Each encoder runs project -> filter -> bias and activation, which equals
     filter -> encoder because g(L') acts on rows and W on columns. The
-    branch carries the filtered blocks, built once per edge set (see
-    _EdgeSetOperators), so the pre-activations of the original nodes cost one
-    N_p-wide product: base + gp (P_in W) + b. The prompt rows' outputs are
-    never read and never formed.
+    branch carries the filtered blocks on its rows, built once per edge set
+    (see _EdgeSetOperators), so the pre-activations cost one N_p-wide
+    product: base + gp (P_in W) + b. The prompt rows' outputs are never read
+    and never formed.
 
     Returns (integrated, logits, backward) where backward(dlogits) sends
     gradients into the prompt features and the head.
     """
     model = frozen.model
     weights = softmax_over_filters(model.mix.value)
-    integrated = np.zeros((g.n_nodes, model.hidden_dim))
+    integrated = np.zeros((branches[0].base.shape[0], model.hidden_dim))
     tapes = []
     for k, enc in enumerate(model.encoders):
         br = branches[k]
@@ -401,6 +551,10 @@ def prompted_encode(g: Graph, frozen: FrozenModel, state: PromptState) -> np.nda
     return integrated
 
 
+def _prompt_name(i: int, n_graphs: int) -> str:
+    return "prompt.features" if n_graphs == 1 else f"prompt{i}.features"
+
+
 def init_state(g: Graph, frozen: FrozenModel, cfg: TuneConfig, n_classes: int) -> PromptState:
     """Fresh prompts (rows drawn from the feature column statistics) + head."""
     rng = np.random.default_rng(derive_seed(cfg.seed, 2))
@@ -416,7 +570,7 @@ def init_state(g: Graph, frozen: FrozenModel, cfg: TuneConfig, n_classes: int) -
     rows0 = rng.standard_normal((cfg.n_prompt, g.feature_dim)) * sigma_o + mu_o
     prompts = []
     for i in range(n_graphs):
-        name = "prompt.features" if n_graphs == 1 else f"prompt{i}.features"
+        name = _prompt_name(i, n_graphs)
         prompts.append(
             PromptGraph(
                 features=Param(rows0.copy(), name), tau_inner=cfg.tau_inner, tau_cross=tau_cross
@@ -432,8 +586,10 @@ def init_state(g: Graph, frozen: FrozenModel, cfg: TuneConfig, n_classes: int) -
 def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
     """Fit prompts and head on the K-shot set; select by validation F1.
 
-    The backbone hash is verified before and after: any drift is a hard
-    failure. Only shot and validation labels are ever read. Returns
+    Training epochs filter, mix and score the shot rows only; validation
+    runs the full path on every row. The backbone hash is verified before
+    and after: any drift is a hard failure. Only shot and validation labels
+    are ever read. Returns
     (best state, history rows (epoch, train loss, val F1 or nan)).
     """
     from .evaluate import macro_f1  # deferred: evaluate imports this module
@@ -445,17 +601,18 @@ def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
     state = init_state(g, frozen, cfg, n_classes)
     params = state.tunable_params()
     opt = Adam(params, lr=cfg.lr)
-    shots = np.concatenate(split.shot_indices)
+    rows, at = _loss_rows(np.concatenate(split.shot_indices))
+    labels = g.labels[rows]
     ops = _EdgeSetOperators(g, frozen.model)
     history = []
     best_f1 = -1.0
     best_values = None
     for epoch in range(cfg.epochs):
-        branches = _build_branches(g, state, ops)
+        branches = _build_branches(g, state, ops, rows=rows)
         for p in params:
             p.zero_grad()
         _, logits, backward = _forward(g, frozen, state, branches, train=True)
-        loss, dlogits = softmax_cross_entropy(logits, g.labels, shots)
+        loss, dlogits = softmax_cross_entropy(logits, labels, at)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite tuning loss at epoch {epoch}")
         backward(dlogits)
@@ -516,23 +673,49 @@ def save_state(state: PromptState, path) -> None:
         fh.write(state_bytes(state))
 
 
-def load_state(path) -> PromptState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def state_from_bytes(blob: bytes) -> PromptState:
+    """Decode a prompt state; anything malformed raises ValueError.
+
+    The metadata is checked against the stored arrays before anything is
+    built, so what it allocates is bounded by the blob.
+    """
     meta, floats, arrays = unpack_arrays(blob, STATE_MAGIC)
+    if len(meta) != 5 or len(floats) != 2:
+        raise ValueError(f"state header holds {len(meta)} integers and {len(floats)} floats")
     n_graphs, shared, normalize, hidden, n_classes = meta
-    tau_inner, tau_cross = floats
+    if shared not in (0, 1) or normalize not in (0, 1) or (shared and n_graphs != 1):
+        raise ValueError(f"bad state header {meta}")
+    if n_graphs < 1 or n_graphs + 2 != len(arrays):
+        raise ValueError(f"{len(arrays)} stored arrays for {n_graphs} prompt graphs and a head")
     by_name = dict(arrays)
-    prompts = []
-    for i in range(n_graphs):
-        name = "prompt.features" if n_graphs == 1 else f"prompt{i}.features"
-        prompts.append(
-            PromptGraph(features=Param(by_name[name], name), tau_inner=tau_inner, tau_cross=tau_cross)
+    names = [_prompt_name(i, n_graphs) for i in range(n_graphs)]
+    if len(by_name) != len(arrays) or set(by_name) != {*names, "head.weight", "head.bias"}:
+        raise ValueError(
+            f"stored arrays {sorted(by_name)} do not match {n_graphs} prompt graphs and a head"
         )
+    prompt_shape = by_name[names[0]].shape
+    if len(prompt_shape) != 2 or any(by_name[name].shape != prompt_shape for name in names):
+        raise ValueError("prompt feature arrays must share one 2-D shape")
+    head_shapes = by_name["head.weight"].shape, by_name["head.bias"].shape
+    if head_shapes != ((hidden, n_classes), (n_classes,)):
+        raise ValueError(f"head arrays do not match hidden {hidden}, n_classes {n_classes}")
+    tau_inner, tau_cross = floats
+    prompts = tuple(
+        PromptGraph(features=Param(by_name[name], name), tau_inner=tau_inner, tau_cross=tau_cross)
+        for name in names
+    )
     rng = np.random.default_rng(0)
     head = LinearLayer(hidden, n_classes, rng, activation="identity", prefix="head")
     head.weight.value[...] = by_name["head.weight"]
     head.bias.value[...] = by_name["head.bias"]
-    return PromptState(
-        prompts=tuple(prompts), head=head, shared=bool(shared), normalize=bool(normalize)
-    )
+    return PromptState(prompts=prompts, head=head, shared=bool(shared), normalize=bool(normalize))
+
+
+def load_state(path) -> PromptState:
+    """Read a saved prompt state; one that cannot be decoded raises DatasetError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return state_from_bytes(blob)
+    except ValueError as e:
+        raise DatasetError(f"unreadable prompt state: {e}", path=path) from e

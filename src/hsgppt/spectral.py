@@ -10,7 +10,9 @@ g_{C,0} the high-pass end, interior members are band-pass. A bank is
 applied by walking the (I - L/2)^j ladder once and branching off each kernel
 where its r steps end, which takes C(C+1)/2 sparse matrix products for a full
 bank of order C (each kernel on its own would take k+r, C(C+1) in all); the
-Laplacian is never densified.
+Laplacian is never densified. Given `rows`, the same walk computes only the
+rows of the outputs asked for: each step runs on the ball of rows that the
+steps after it read (see bank_filter_apply).
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class FilterBank:
         return [beta_constant(k, r) for k, r in self.filters]
 
 
-def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray) -> list:
+def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list:
     """[g_{k,r}(L) x for (k, r) in filters], sharing the ladder prefixes.
 
     Rung j of the ladder is (I - L/2)^j x, shared by every kernel with
@@ -117,12 +119,22 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray) -> list:
     C(C+1)/2 sparse matmuls. Each output is the same operations in the same
     order as running its kernel alone, so it is equal bit for bit. x may be
     a vector or a matrix; filters may be in any order.
+
+    rows (node indices, any order, repeats allowed) asks for those rows of
+    every output only: out[i] equals the full output's [rows], bit for bit.
+    A step that d more products turn into an output is needed only on the
+    ball N^d[rows] of L's sparsity pattern, so each product runs with
+    L[N^d[rows]]. L must then be a scipy sparse matrix, and only its rows in
+    N^{C-1}[rows] are read (C the largest k+r), so a caller may pass a matrix
+    that holds just those rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if L.shape[1] != x.shape[0]:
         raise ValueError(f"L is {L.shape}, signal has {x.shape[0]} rows")
     filters = list(filters)
     consts = [beta_constant(k, r) for k, r in filters]  # validates k, r >= 0
+    if rows is not None:
+        return _bank_rows(L.tocsr(), filters, consts, x, rows)
     out = [None] * len(filters)
     top = max((r for _, r in filters), default=-1)
     rung = x
@@ -144,6 +156,101 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray) -> list:
             else:
                 rung -= half
     return out
+
+
+def _bank_rows(L: sp.csr_matrix, filters, consts, x: np.ndarray, rows) -> list:
+    """bank_filter_apply's walk, each step on the rows its consumers read.
+
+    A backward pass tags every rung and chain step with its depth d, the
+    number of products between it and an output; a value of depth d is
+    formed on the ball B_d = N^d[rows] (B_0 = the sorted rows, B_{d+1} the
+    columns of L[B_d]), which holds every row a product at depth d-1 reads.
+    The forward pass is the full walk's, with each product taken as
+    L[B_d] @ y and each elementwise step on the rows of its own ball.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and (rows.min() < 0 or rows.max() >= L.shape[0]):
+        raise ValueError(f"rows must lie in [0, {L.shape[0]})")
+    top = max((r for _, r in filters), default=-1)
+    # depth of rung j and of half_j = (L/2) rung_j; -1 where nothing reads it
+    d_rung = [-1] * (top + 2)
+    d_half = [-1] * (top + 1)
+    for j in range(top, -1, -1):
+        ks = [k for k, r in filters if r == j]
+        d_half[j] = max([k - 1 for k in ks if k] + [d_rung[j + 1]])
+        d_rung[j] = max([0 for k in ks if not k] + [d_rung[j + 1]])
+        if d_half[j] >= 0:
+            d_rung[j] = max(d_rung[j], d_half[j] + 1)
+
+    walk = _RowBalls(L, rows)
+    out = [None] * len(filters)
+    rung = (x, None)
+    for j in range(top + 1):
+        here = [i for i, (_, r) in enumerate(filters) if r == j]
+        half = walk.half_step(rung, d_half[j]) if d_half[j] >= 0 else None
+        for i in here:
+            k = filters[i][0]
+            y = half if k else rung
+            for t in range(k - 1):
+                y = walk.half_step(y, k - 2 - t)
+            out[i] = consts[i] * walk.take(y, 0)
+        if j < top:
+            d = d_rung[j + 1]
+            rung = (walk.take(rung, d) - walk.take(half, d), d)
+    if not np.array_equal(rows, walk.ball(0)):
+        at = np.searchsorted(walk.ball(0), rows)
+        out = [y[at] for y in out]
+    return out
+
+
+class _RowBalls:
+    """The balls B_d = N^d[rows] of L's sparsity pattern, L's rows on them,
+    and the two steps of the walk on values kept on a ball.
+
+    A value is (array, depth): its rows are B_depth, or every row of the
+    signal for depth None.
+    """
+
+    def __init__(self, L: sp.csr_matrix, rows):
+        self.L = L
+        self.balls = [np.unique(rows)]
+        self.blocks = []  # L[B_d]
+        self.renumbered = {}  # (d, e) -> L[B_d], columns numbered within B_e
+
+    def ball(self, d):
+        while len(self.balls) <= d:
+            self.balls.append(np.union1d(self.balls[-1], self.block(len(self.balls) - 1).indices))
+        return self.balls[d]
+
+    def block(self, d):
+        while len(self.blocks) <= d:
+            self.blocks.append(self.L[self.ball(len(self.blocks))])
+        return self.blocks[d]
+
+    def take(self, v, d):
+        """v on the rows of B_d."""
+        a, e = v
+        if e == d:
+            return a
+        if e is None:
+            return a[self.ball(d)]
+        return a[np.searchsorted(self.ball(e), self.ball(d))]
+
+    def half_step(self, v, d):
+        """(L/2) v on the rows of B_d; v must be known on B_{d+1}."""
+        a, e = v
+        m = self.block(d)
+        if e is not None:
+            if (d, e) not in self.renumbered:
+                place = np.full(self.L.shape[1], -1, dtype=np.int64)
+                place[self.ball(e)] = np.arange(self.ball(e).size)
+                self.renumbered[d, e] = sp.csr_matrix(
+                    (m.data, place[m.indices], m.indptr), shape=(m.shape[0], self.ball(e).size)
+                )
+            m = self.renumbered[d, e]
+        y = m @ a
+        y *= 0.5
+        return y, d
 
 
 def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:

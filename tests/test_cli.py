@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, config precedence, artifacts, determinism."""
 
 import json
+import struct
 
 import pytest
 
@@ -99,6 +100,23 @@ def test_damaged_checkpoint_is_data_error(tmp_path, capsys):
                    "--k", 2, "--n-prompt", 3, "--epochs", 1) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(ckpt) in err, err
+
+
+def test_checkpoint_with_huge_header_dim_is_data_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    pre = tmp_path / "pre"
+    assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4,
+               "--epochs", 1, "--patience", 1) == EXIT_OK
+    blob = (pre / "model.ckpt").read_bytes()
+    # feature_dim, the first header integer after magic, version and count,
+    # set to 2^40 with the file length intact
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(blob[:16] + struct.pack("<q", 2**40) + blob[24:])
+    capsys.readouterr()
+    assert run("tune", "--data", data, "--ckpt", ckpt, "--out", tmp_path / "tun",
+               "--k", 2, "--n-prompt", 3, "--epochs", 1) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ckpt) in err, err
 
 
 def test_eval_deterministic_report(tmp_path):

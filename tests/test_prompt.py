@@ -7,7 +7,7 @@ from scipy.special import expit
 import hsgppt.prompt as prompt_mod
 from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import Graph, kshot_split, laplacian_from_edges
-from hsgppt.nn import finite_diff_check, softmax_over_filters
+from hsgppt.nn import Adam, finite_diff_check, softmax_cross_entropy, softmax_over_filters
 from hsgppt.pretrain import PretrainConfig, PretrainedModel, encode, freeze, pretrain
 from hsgppt.prompt import (
     ABLATION_VARIANTS,
@@ -186,50 +186,151 @@ def _edge_key(branch):
     return branch.prompted.cross_edges.tobytes(), branch.prompted.inner_edges.tobytes()
 
 
+def _held_rows(lap):
+    """The rows a training branch's Laplacian holds (the others are empty)."""
+    return np.flatnonzero(np.diff(lap.indptr))
+
+
+def _ball(L, rows, radius):
+    ball = np.unique(rows)
+    for _ in range(radius):
+        ball = np.unique(L[ball].indices)
+    return ball
+
+
 def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
     g, frozen = tiny_setup(h=0.8)
     split = kshot_split(g, 3, seed=0)
+    rows = np.unique(np.concatenate(split.shot_indices))
     epochs = _record_training_branches(monkeypatch)
     tune(g, frozen, split, TuneConfig(n_prompt=4, epochs=8, eval_every=4, seed=0))
     assert len(epochs) == 8
     keys = [[_edge_key(b) for b in branches] for branches in epochs]
     assert any(a != b for a, b in zip(keys, keys[1:]))  # the wiring does change
     n = g.n_nodes
+    xw = [g.features @ enc.weight.value for enc in frozen.model.encoders]
     for branches in epochs:
-        for (kk, rr), br in zip(frozen.model.bank.filters, branches):
+        for (kk, rr), w, br in zip(frozen.model.bank.filters, xw, branches):
             pg = br.prompted
             fresh = laplacian_from_edges(pg.combined_edges(), pg.n_total)
-            assert br.lap.shape == fresh.shape and (br.lap != fresh).nnz == 0
+            # the held rows are the ones a degree-2 filter reads, equal to fresh ones
+            held = _held_rows(br.lap)
+            assert np.array_equal(held, _ball(fresh, rows, 1))
+            assert br.lap.shape == fresh.shape and (br.lap[held] != fresh[held]).nnz == 0
             indicator = np.eye(pg.n_total)[:, n:]
-            gp = beta_filter_apply(fresh, kk, rr, indicator)[:n]
+            gp = beta_filter_apply(fresh, kk, rr, indicator)[rows]
             assert np.max(np.abs(br.gp - gp)) < 1e-12
+            padded = np.vstack([w, np.zeros((pg.n_total - n, w.shape[1]))])
+            base = beta_filter_apply(fresh, kk, rr, padded)
+            assert np.max(np.abs(br.base - base[rows])) < 1e-12
 
 
 def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
     g, frozen = tiny_setup()
     split = kshot_split(g, 2, seed=0)
-    calls = []
+    full_builds, row_builds, row_filters = [], [], []
     build = prompt_mod.laplacian_from_edges
+    assemble = prompt_mod._PromptedRows.laplacian
+    bank = prompt_mod.bank_filter_apply
 
     def counting(edges, n_nodes, kind="normalized"):
-        calls.append(n_nodes)
+        full_builds.append(n_nodes)
         return build(edges, n_nodes, kind)
 
+    def counting_rows(self, q):
+        row_builds.append(q.size)
+        return assemble(self, q)
+
+    def counting_bank(L, filters, x, rows=None):
+        row_filters.append(rows is not None)
+        return bank(L, filters, x, rows=rows)
+
     monkeypatch.setattr(prompt_mod, "laplacian_from_edges", counting)
+    monkeypatch.setattr(prompt_mod._PromptedRows, "laplacian", counting_rows)
+    monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
     epochs = _record_training_branches(monkeypatch)
     # thresholds below every sigmoid score wire every pair, every epoch
     cfg = TuneConfig(n_prompt=3, tau_inner=0.0, tau_cross=0.0, epochs=6, eval_every=2, seed=0)
     tune(g, frozen, split, cfg)
     distinct = {_edge_key(b) for branches in epochs for b in branches}
     assert len(distinct) == 1
-    assert len(calls) == len(distinct)  # 3 filters x (6 epochs + 3 validations) without reuse
+    # 3 filters x 3 validations and 3 filters x 6 epochs without reuse
+    assert len(full_builds) == len(distinct)
+    assert len(row_builds) == len(distinct)
+    # training filters once per filter; later epochs run no sparse product
+    assert row_filters == [True] * frozen.model.bank.size
 
-    calls.clear()
+    full_builds.clear()
+    row_builds.clear()
     state = init_state(g, frozen, cfg, n_classes=2)
     loss_fn = tuning_loss_fn(g, frozen, state, np.concatenate(split.shot_indices))
     for _ in range(3):
         loss_fn()
-    assert len(calls) == 1
+    assert len(row_builds) == 1 and not full_builds
+
+
+def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for h in (0.2, 0.8):
+        g0, frozen = tiny_setup(n=60, f=8, h=h, seed=1)
+        keep = (g0.edges != 5).all(axis=1)  # node 5 left isolated
+        g = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
+        base = prompt_mod._base_pieces(g)
+        P = rng.standard_normal((5, g.feature_dim))
+        for tau_inner, tau_cross in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0)):
+            pg = insert_prompt(g, P, tau_inner, tau_cross)
+            assert (pg.cross_edges.size > 0) == (tau_cross < 1.0)
+            assert (pg.inner_edges.size > 0) == (tau_inner < 1.0)
+            full = laplacian_from_edges(pg.combined_edges(), pg.n_total)
+            assembled = prompt_mod._PromptedRows(*base, pg)
+            for q in (np.arange(pg.n_total), np.array([0, 5, 17, 60, 63]), np.array([61])):
+                got = assembled.laplacian(q)
+                assert got.shape == full.shape
+                assert np.array_equal(_held_rows(got), q)
+                a, b = got[q], full[q]
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.data, b.data)
+                for radius in range(3):
+                    assert np.array_equal(assembled.ball(q, radius), _ball(full, q, radius))
+
+
+def _full_row_reference(g, frozen, split, cfg):
+    """The training loop on every row (the full path), without validation."""
+    state = init_state(g, frozen, cfg, n_classes=2)
+    params = state.tunable_params()
+    opt = Adam(params, lr=cfg.lr)
+    shots = np.concatenate(split.shot_indices)
+    ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+    losses, wiring = [], []
+    for _ in range(cfg.epochs):
+        branches = prompt_mod._build_branches(g, state, ops)
+        wiring.append([_edge_key(b) for b in branches])
+        for p in params:
+            p.zero_grad()
+        _, logits, backward = prompt_mod._forward(g, frozen, state, branches, train=True)
+        loss, dlogits = softmax_cross_entropy(logits, g.labels, shots)
+        backward(dlogits)
+        opt.step()
+        losses.append(loss)
+    return state, losses, wiring
+
+
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_tune_on_shot_rows_matches_full_row_reference(monkeypatch, h):
+    g, frozen = tiny_setup(n=120, f=8, h=h, seed=2)
+    split = kshot_split(g, 4, seed=1)
+    # validation only after the last epoch, so tune keeps the final values
+    cfg = TuneConfig(n_prompt=5, tau_cross=0.6, lr=2e-2, epochs=40, eval_every=10**6, seed=3)
+    want_state, want_losses, want_wiring = _full_row_reference(g, frozen, split, cfg)
+    epochs = _record_training_branches(monkeypatch)
+    state, hist = tune(g, frozen, split, cfg)
+    assert [[_edge_key(b) for b in branches] for branches in epochs] == want_wiring
+    assert len({tuple(w) for w in want_wiring}) > 1  # the wiring moves during the run
+    assert np.max(np.abs(np.array([row[1] for row in hist]) - want_losses)) < 1e-12
+    for p, q in zip(state.tunable_params(), want_state.tunable_params()):
+        assert np.max(np.abs(p.value - q.value)) < 1e-12, p.name
+    assert np.max(np.abs(predict(g, frozen, state) - predict(g, frozen, want_state))) < 1e-12
 
 
 def test_tuning_gradients_pass_finite_difference():

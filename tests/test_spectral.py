@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import Graph, laplacian, laplacian_from_edges
@@ -165,6 +166,73 @@ def test_bank_engine_single_kernels_and_guards():
         bank_filter_apply(L, ((1, -1),), x)
     with pytest.raises(ValueError, match="rows"):
         bank_filter_apply(L, ((0, 1),), x[:-1])
+
+
+def prompted_like_laplacian(rng, n=80, n_p=4):
+    # a CSBM graph plus hub rows wired to many nodes, and an isolated node
+    g = generate(CsbmParams(n=n, f=3, d_avg=5.0, h=0.4, mu=4.0, seed=5))
+    edges = g.edges[(g.edges[:, 0] != 7) & (g.edges[:, 1] != 7)]  # node 7 isolated
+    hubs = [(int(v), n + p) for p in range(n_p) for v in rng.choice(n, 25, replace=False) if v != 7]
+    hubs += [(n, n + 1), (n + 1, n + 3)]
+    return laplacian_from_edges(np.concatenate([edges, np.array(hubs)]), n + n_p), n
+
+
+def test_bank_engine_rows_equal_full_rows_bit_for_bit():
+    rng = np.random.default_rng(11)
+    L, n = prompted_like_laplacian(rng)
+    n_total = L.shape[0]
+    banks = [FilterBank.full(c).filters for c in range(6)]
+    banks += [((k, r),) for k, r in ((0, 0), (0, 3), (3, 0), (2, 2), (1, 4))]
+    banks += [FilterBank.low_pass(3).filters, ((2, 1), (0, 3))]
+    row_sets = [
+        np.array([3]),
+        np.array([7]),  # isolated: its ball is itself
+        np.array([n, n + 3, 2]),  # prompt rows, unsorted
+        np.array([5, 5, 1]),  # repeats keep their places
+        rng.choice(n_total, 12, replace=False),
+        np.arange(n_total),
+        np.array([], dtype=np.int64),
+    ]
+    for filters in banks:
+        for x in (rng.standard_normal(n_total), rng.standard_normal((n_total, 3))):
+            keep = x.copy()
+            full = bank_filter_apply(L, filters, x)
+            for rows in row_sets:
+                got = bank_filter_apply(L, filters, x, rows=rows)
+                assert np.array_equal(x, keep)
+                assert len(got) == len(filters)
+                for y, want in zip(got, full):
+                    assert np.array_equal(y, want[rows]), (filters, rows)
+
+
+def test_bank_engine_rows_read_only_the_ball_they_need():
+    rng = np.random.default_rng(12)
+    L, n = prompted_like_laplacian(rng)
+    x = rng.standard_normal((L.shape[0], 2))
+    rows = np.array([4, n + 1])
+    for order in range(5):
+        filters = FilterBank.full(order).filters
+        ball = np.unique(rows)
+        for _ in range(order - 1):
+            ball = np.unique(L[ball].indices)
+        # empty every row of L outside N^{order-1}[rows]: the outputs must not move
+        kept = np.isin(np.arange(L.shape[0]), ball)
+        lens = np.diff(L.indptr) * kept
+        entries = np.repeat(kept, np.diff(L.indptr))
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        trimmed = sp.csr_matrix((L.data[entries], L.indices[entries], indptr), shape=L.shape)
+        want = [y[rows] for y in bank_filter_apply(L, filters, x)]
+        got = bank_filter_apply(trimmed, filters, x, rows=rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), order
+
+
+def test_bank_engine_rows_guards():
+    L = laplacian(generate(CsbmParams(n=20, f=3, d_avg=4.0, h=0.5, mu=4.0, seed=2)), "normalized")
+    x = np.ones((20, 2))
+    for bad in (np.array([20]), np.array([-1])):
+        with pytest.raises(ValueError, match="rows must lie"):
+            bank_filter_apply(L, ((1, 1),), x, rows=bad)
+    assert bank_filter_apply(L, (), x, rows=np.array([1])) == []
 
 
 def test_triple_filters_match_eigenbasis_oracle():
