@@ -7,9 +7,11 @@ shared instance in place.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -82,10 +84,12 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] >= edges[:, 1]):
                 raise ValueError("edges must be canonical (u < v, no self-loops)")
+            # v < n, so key order is the (u, v) lexicographic order
             keys = edges[:, 0] * n + edges[:, 1]
-            if np.unique(keys).size != keys.size:
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            if np.any(sorted_keys[1:] == sorted_keys[:-1]):
                 raise ValueError("duplicate edges")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
             edges = edges[order]
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
@@ -314,6 +318,35 @@ def _read_features_tsv(path: Path, n: int, d: int) -> np.ndarray:
 
 
 def _read_edges(path: Path, n: int):
+    """Canonical (u < v) edges in order of first occurrence, self-loops dropped.
+
+    A well-formed ASCII file is parsed by one np.loadtxt call. Anything else
+    (a token loadtxt rejects, a row without two columns, an index out of
+    range, or non-ASCII text, which numpy 2.4's loadtxt can misread as a
+    different integer or crash on) goes to the per-line reader, which names
+    the first bad line.
+    """
+    try:
+        text = path.read_bytes().decode("ascii")  # a UnicodeDecodeError is a ValueError
+        with warnings.catch_warnings():
+            # a blank file warns "input contained no data" and parses to
+            # shape (0, 1), which the per-line reader then handles
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(
+                io.StringIO(text, newline=None), dtype=np.int64, ndmin=2, comments=None
+            )
+    except (ValueError, OverflowError):
+        return _read_edges_by_line(path, n)
+    if raw.shape[1] != 2 or raw.min() < 0 or raw.max() >= n:
+        return _read_edges_by_line(path, n)
+    loop = raw[:, 0] == raw[:, 1]
+    _warn_self_loops(path, int(np.count_nonzero(loop)))
+    raw = raw[~loop]
+    edges = np.stack([raw.min(axis=1), raw.max(axis=1)], axis=1)
+    return _first_occurrences(edges, n)
+
+
+def _read_edges_by_line(path: Path, n: int):
     us, vs = [], []
     dropped = 0
     with path.open() as fh:
@@ -340,14 +373,24 @@ def _read_edges(path: Path, n: int):
                 u, v = v, u
             us.append(u)
             vs.append(v)
+    _warn_self_loops(path, dropped)
+    edges = np.stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)], axis=1)
+    return _first_occurrences(edges, n)
+
+
+def _warn_self_loops(path: Path, dropped: int):
     if dropped:
         log.warning("%s: dropped %d self-loop(s)", path, dropped)
-    if not us:
-        return np.empty((0, 2), dtype=np.int64)
-    edges = np.stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)], axis=1)
+
+
+def _first_occurrences(edges, n):
+    """The first occurrence of each distinct edge, in input order."""
     keys = edges[:, 0] * n + edges[:, 1]
-    _, first = np.unique(keys, return_index=True)
-    return edges[np.sort(first)]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return edges[np.sort(order[first])]
 
 
 def _read_labels(path: Path, n: int, n_classes: int):
@@ -416,13 +459,14 @@ def load_graph(path) -> Graph:
     d = int(meta["feature_dim"])
     n_classes = int(meta["n_classes"])
 
-    bin_path = root / _FEATURES_BIN
-    if bin_path.is_file():
-        features = _read_features_bin(bin_path, n, d)
+    features_path = root / _FEATURES_BIN
+    if features_path.is_file():
+        features = _read_features_bin(features_path, n, d)
     else:
-        features = _read_features_tsv(_require(root / _FEATURES_TSV), n, d)
+        features_path = _require(root / _FEATURES_TSV)
+        features = _read_features_tsv(features_path, n, d)
     if not np.all(np.isfinite(features)):
-        raise MalformedLineError("non-finite feature value", path=bin_path)
+        raise MalformedLineError("non-finite feature value", path=features_path)
 
     edges = _read_edges(_require(root / _EDGES), n)
     labels = _read_labels(_require(root / _LABELS), n, n_classes)
@@ -448,15 +492,13 @@ def save_graph(g: Graph, path) -> None:
         "name": g.name,
     }
     (root / _META).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    # Python ints format ~3x faster than numpy scalars, to the same text
-    with (root / _EDGES).open("w") as fh:
-        fh.writelines(f"{u}\t{v}\n" for u, v in g.edges.tolist())
+    # one %-format over Python ints writes the per-line f"{u}\t{v}\n" text
+    (root / _EDGES).write_text(("%d\t%d\n" * g.n_edges) % tuple(g.edges.ravel().tolist()))
     with (root / _FEATURES_BIN).open("wb") as fh:
         fh.write(np.asarray(g.features.shape, dtype="<u8").tobytes())
         fh.write(g.features.astype("<f8").tobytes())
     labels = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
-    with (root / _LABELS).open("w") as fh:
-        fh.writelines(f"{y}\n" for y in labels.tolist())
+    (root / _LABELS).write_text(("%d\n" * g.n_nodes) % tuple(labels.tolist()))
 
 
 # feature transforms applied by CLI flag, never by the loader

@@ -1,6 +1,6 @@
 """Checkpoint and prompt-state containers: round trips and typed failures.
 
-Property tests (hypothesis, derandomized so every run draws the same cases)
+Property tests (hypothesis, under the derandomized profile of conftest.py)
 cut, extend and re-dimension real blobs; each damaged blob must raise
 ValueError when decoded and DatasetError, naming the file, when loaded.
 """
@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hsgppt.csbm import CsbmParams, generate
@@ -18,8 +18,6 @@ from hsgppt.nn import pack_arrays, unpack_arrays
 from hsgppt.pretrain import PretrainedModel, freeze, load_model, model_bytes, model_from_bytes
 from hsgppt.prompt import TuneConfig, init_state, load_state, state_bytes, state_from_bytes
 from hsgppt.spectral import FilterBank
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 MAGIC = b"HSGTEST\x00"
 META_AT = 16  # magic, u32 version, u32 count, then the i64 header integers
@@ -58,7 +56,6 @@ arrays_strategy = st.lists(
 )
 
 
-@PROPERTY
 @given(
     arrays=arrays_strategy,
     ints=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5),
@@ -84,7 +81,6 @@ def _decoders():
         yield blob, state_from_bytes
 
 
-@PROPERTY
 @given(data=st.data())
 def test_every_truncation_is_a_value_error(data):
     for blob, decode in _decoders():
@@ -93,7 +89,6 @@ def test_every_truncation_is_a_value_error(data):
             decode(blob[:cut])
 
 
-@PROPERTY
 @given(extra=st.binary(min_size=1, max_size=24))
 def test_every_trailing_byte_is_a_value_error(extra):
     for blob, decode in _decoders():
@@ -101,7 +96,6 @@ def test_every_trailing_byte_is_a_value_error(extra):
             decode(blob + extra)
 
 
-@PROPERTY
 @given(which=st.sampled_from(CHECKPOINT_DIMS), value=st.integers(-(2**63), 2**63 - 1))
 def test_checkpoint_header_dim_flip_is_a_value_error(which, value):
     if value == meta(CHECKPOINT, which):
@@ -110,7 +104,6 @@ def test_checkpoint_header_dim_flip_is_a_value_error(which, value):
         model_from_bytes(patch_meta(CHECKPOINT, which, value))
 
 
-@PROPERTY
 @given(
     shared=st.booleans(),
     which=st.sampled_from(STATE_DIMS),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hsgppt.csbm import CsbmParams, edge_probabilities, generate, generate_with_signal, sweep
+from hsgppt import csbm
+from hsgppt.csbm import CsbmParams, edge_probabilities, generate, generate_with_signal
 from hsgppt.graph import edge_homophily
 
 
@@ -91,17 +92,18 @@ def test_generate_matches_generate_with_signal():
     assert g1.features.tobytes() == g2.features.tobytes()
 
 
-def test_sweep_structure():
-    base = CsbmParams(n=100, f=4, d_avg=4.0, h=0.5, mu=2.0, seed=7)
-    graphs = sweep(base, [0.0, 0.5, 1.0])
-    assert [g.name for g in graphs] == [
-        "csbm_n100_h0_seed7",
-        "csbm_n100_h0.5_seed8",
-        "csbm_n100_h1_seed9",
-    ]
-    # extreme h levels really are pure
-    assert edge_homophily(graphs[0]) == 0.0
-    assert edge_homophily(graphs[2]) == 1.0
+def test_extreme_homophily_levels_are_pure():
+    g0 = generate(CsbmParams(n=100, f=4, d_avg=4.0, h=0.0, mu=2.0, seed=7))
+    g1 = generate(CsbmParams(n=100, f=4, d_avg=4.0, h=1.0, mu=2.0, seed=9))
+    assert (g0.name, g1.name) == ("csbm_n100_h0_seed7", "csbm_n100_h1_seed9")
+    assert edge_homophily(g0) == 0.0
+    assert edge_homophily(g1) == 1.0
+
+
+def test_graph_without_edges():
+    # one node per class and no inter-class edges at h=1: every block is empty
+    g = generate(CsbmParams(n=2, f=3, d_avg=1.0, h=1.0, mu=1.0, seed=0))
+    assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
 
 
 def test_no_self_loops_or_duplicates_at_high_density():
@@ -109,3 +111,67 @@ def test_no_self_loops_or_duplicates_at_high_density():
     pairs = {(int(u), int(v)) for u, v in g.edges}
     assert len(pairs) == g.n_edges
     assert all(u < v for u, v in pairs)
+
+
+def triu_mask_block_edges(rng, p, rows, cols, row_offset, col_offset, triangular):
+    """Reference sampler: one uniform per pair of the whole block at once."""
+    if triangular:
+        iu, ju = np.triu_indices(rows, k=1)
+        keep = rng.random(iu.size) < p
+        return np.stack([iu[keep] + row_offset, ju[keep] + col_offset], axis=1)
+    mask = rng.random((rows, cols)) < p
+    iu, ju = np.nonzero(mask)
+    return np.stack([iu + row_offset, ju + col_offset], axis=1)
+
+
+def test_split_uniform_draws_continue_one_stream():
+    # the chunked sampler rests on this: draws of a, then b values (into a
+    # buffer or not) are the a + b values of one draw
+    whole = np.random.default_rng(3).random(1000)
+    rng = np.random.default_rng(3)
+    head = rng.random(7)
+    buf = np.empty(400)
+    rng.random(out=buf)
+    tail = rng.random(593)
+    assert np.array_equal(np.concatenate([head, buf, tail]), whole)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, 64, 4099])
+def test_chunked_sampler_matches_whole_block_reference(monkeypatch, chunk):
+    monkeypatch.setattr(csbm, "_CHUNK", chunk)
+    for rows, cols in ((1, 1), (2, 2), (2, 3), (3, 5), (17, 17), (40, 23)):
+        for p in (0.0, 0.3, 1.0):
+            for triangular in (True, False):
+                if triangular and rows != cols:
+                    continue
+                args = (p, rows, cols, 4, 9, triangular)
+                ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+                got = csbm._sample_block_edges(ours, *args)
+                want = triu_mask_block_edges(ref, *args)
+                assert got.dtype == np.int64 and got.shape[1] == 2
+                assert np.array_equal(got, want), (chunk, rows, cols, p, triangular)
+                # the same number of uniforms was consumed
+                assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "n, f, d_avg, h, seed",
+    [
+        (5000, 128, 40.0, 0.2, 0),  # the two benchmark graphs
+        (5000, 128, 40.0, 0.8, 0),
+        (600, 8, 12.0, 0.0, 1),
+        (600, 8, 12.0, 1.0, 2),
+        (600, 8, 12.0, 0.5, 3),
+        (2, 3, 1.0, 0.0, 4),
+        (4, 3, 2.0, 0.5, 5),
+    ],
+)
+def test_generate_matches_whole_block_reference(monkeypatch, n, f, d_avg, h, seed):
+    p = CsbmParams(n=n, f=f, d_avg=d_avg, h=h, mu=10.0, seed=seed)
+    monkeypatch.setattr(csbm, "_CHUNK", 4099)  # blocks span several chunks
+    g = generate(p)
+    monkeypatch.setattr(csbm, "_sample_block_edges", triu_mask_block_edges)
+    want = generate(p)
+    assert g.edges.tobytes() == want.edges.tobytes()
+    assert g.features.tobytes() == want.features.tobytes()
+    assert g.labels.tobytes() == want.labels.tobytes()

@@ -1,10 +1,16 @@
 """Graph container, Laplacians, splits, and dataset directory round-trips."""
 
 import json
+import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import (
     DatasetError,
     Graph,
@@ -23,6 +29,7 @@ from hsgppt.graph import (
     transform_features,
     with_features,
 )
+from hsgppt.graph import _read_edges
 
 
 def path_graph(n=4, d=3, labels=None):
@@ -56,6 +63,20 @@ def test_graph_rejects_bad_edges():
         Graph("g", np.array([[0, 1]]), np.array([[np.inf], [0.0], [0.0]]))
     with pytest.raises(ValueError, match="n_classes"):
         Graph("g", np.array([[0, 1]]), feats, labels=[0, 1, 2], n_classes=2)
+
+
+def test_graph_sort_matches_lexsort_and_finds_duplicates():
+    rng = np.random.default_rng(4)
+    n = 300
+    pairs = rng.integers(0, n, size=(3000, 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    shuffled = pairs[rng.permutation(len(pairs))]
+    g = Graph("g", shuffled, np.zeros((n, 1)))
+    want = shuffled[np.lexsort((shuffled[:, 1], shuffled[:, 0]))]
+    assert g.edges.tobytes() == want.tobytes()
+    # a duplicate far from its twin in the input is still found
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph("g", np.concatenate([shuffled, shuffled[:1]]), np.zeros((n, 1)))
 
 
 def test_degrees_and_adjacency():
@@ -282,3 +303,175 @@ def test_with_features_keeps_structure():
     assert h.feature_dim == 7
     assert np.array_equal(h.edges, g.edges)
     assert np.array_equal(h.labels, g.labels)
+
+
+def test_load_graph_reports_bad_edge_lines(tmp_path):
+    cases = [
+        ("0\t1\n\n1\t2\t0\n", 3, "expected 'u<TAB>v', found 3 tokens"),
+        ("0\t1\n2\n", 2, "found 1 tokens"),
+        ("0\t1\n1\t2.0\n", 2, "non-integer node index"),
+        ("1_0\t1\n", 1, "out of range"),  # int() reads 10
+        ("0\t1\r\n1\t3\r\n", 2, r"node index out of range \[0, 3\)"),
+        ("-1\t2\n", 1, "out of range"),
+    ]
+    for i, (edges, line, message) in enumerate(cases):
+        ds = make_tsv_dataset(tmp_path / f"ds{i}", edges=edges)
+        with pytest.raises(MalformedLineError, match=message) as info:
+            load_graph(ds)
+        assert info.value.path == ds / "edges.tsv"
+        assert info.value.line == line
+
+
+def test_non_ascii_lookalike_is_not_read_as_an_index(tmp_path):
+    # numpy 2.4's loadtxt reads U+01FE as the integer 462; int() rejects it
+    ds = make_tsv_dataset(tmp_path / "ds", n_nodes=500, edges="0\t1\n\u01fe\t1\n",
+                          labels="0\n1\n" * 250)
+    with pytest.raises(MalformedLineError, match="non-integer node index") as info:
+        load_graph(ds)
+    assert info.value.line == 2
+
+
+def test_non_finite_tsv_feature_names_features_tsv(tmp_path):
+    ds = make_tsv_dataset(tmp_path / "ds")
+    (ds / "features.tsv").write_text("0.0\t1.0\nnan\t2.0\n2.0\t3.0\n")
+    with pytest.raises(MalformedLineError, match="non-finite") as info:
+        load_graph(ds)
+    assert info.value.path == ds / "features.tsv"
+
+
+def test_generated_graph_round_trips(tmp_path):
+    g = generate(CsbmParams(n=400, f=8, d_avg=10.0, h=0.3, mu=5.0, seed=2))
+    save_graph(g, tmp_path / "ds")
+    h = load_graph(tmp_path / "ds")
+    assert h.name == g.name and h.n_classes == g.n_classes
+    assert h.edges.tobytes() == g.edges.tobytes()
+    assert h.features.tobytes() == g.features.tobytes()
+    assert h.labels.tobytes() == g.labels.tobytes()
+
+
+def read_edges_per_line(path, n):
+    """Reference edge reader: the per-line loop the edges.tsv format was defined by.
+
+    Returns (edges, self-loops dropped).
+    """
+    us, vs = [], []
+    dropped = 0
+    with path.open() as fh:
+        for i, line in enumerate(fh):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedLineError(
+                    f"expected 'u<TAB>v', found {len(parts)} tokens", path=path, line=i + 1
+                )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise MalformedLineError("non-integer node index", path=path, line=i + 1)
+            if not (0 <= u < n and 0 <= v < n):
+                raise MalformedLineError(
+                    f"node index out of range [0, {n})", path=path, line=i + 1
+                )
+            if u == v:
+                dropped += 1
+                continue
+            if u > v:
+                u, v = v, u
+            us.append(u)
+            vs.append(v)
+    if not us:
+        return np.empty((0, 2), dtype=np.int64), dropped
+    edges = np.stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)], axis=1)
+    keys = edges[:, 0] * n + edges[:, 1]
+    _, first = np.unique(keys, return_index=True)
+    return edges[np.sort(first)], dropped
+
+
+N_NODES = 6
+INDICES = st.integers(0, N_NODES - 1).map(str)
+# tokens where int() and np.loadtxt may disagree sit beside plain indices
+TOKENS = st.one_of(
+    INDICES,
+    st.sampled_from(
+        ["6", "-1", "+1", "-0", "007", "1_0", "\u0967", "1.0", "1e0", "0x1", "x", "#",
+         "99999999999999999999", "9223372036854775807"]
+    ),
+)
+GAPS = st.sampled_from(["\t", " ", "\t ", "\x0c", "\x0b", "\x1c", "\x1f", "\xa0", "\u2028"])
+ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+BLANK = st.sampled_from(["", " ", "\t", "\x0c", "\x1c", " \x0b "])
+
+
+@st.composite
+def edge_lines(draw):
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "pair", "blank", "tokens"]))
+    if kind == "blank":
+        return draw(BLANK) + draw(ENDS)
+    count = 2 if kind == "pair" else draw(st.integers(1, 3))
+    # half the pair lines are plain, so whole files often parse in one call
+    pick = TOKENS if kind == "tokens" or draw(st.booleans()) else INDICES
+    tokens = draw(st.lists(pick, min_size=count, max_size=count))
+    gaps = [draw(GAPS) for _ in range(count - 1)]
+    body = "".join(t + g for t, g in zip(tokens, gaps + [""]))
+    return draw(st.sampled_from(["", " "])) + body + draw(st.sampled_from(["", "\t"])) + draw(ENDS)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _outcome(read, path):
+    """(edges, self-loops dropped) or (exception class, line, message)."""
+    records = _Records()
+    logger = logging.getLogger("hsgppt.graph")
+    logger.addHandler(records)
+    try:
+        result = read(path)
+    except MalformedLineError as e:
+        return type(e), e.line, str(e)
+    finally:
+        logger.removeHandler(records)
+    if isinstance(result, tuple):
+        return result[0].tolist(), result[1]
+    dropped = sum(r.args[1] for r in records.records if "self-loop" in r.msg)
+    return result.tolist(), dropped
+
+
+@given(lines=st.lists(edge_lines(), max_size=12), strip_last_end=st.booleans())
+def test_read_edges_matches_per_line_reference(lines, strip_last_end):
+    text = "".join(lines)
+    if strip_last_end:
+        text = text.rstrip("\r\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(lambda p: _read_edges(p, N_NODES), path)
+        want = _outcome(lambda p: read_edges_per_line(p, N_NODES), path)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n \n\t\n",
+        "0\t1\n1\t0\n2\t2\n1\t2\n0\t1\n3\t3\n",
+        "0\t1\r\n\r\n5 4\r2\x0c3\n",
+        "+1\t2\n1_0\t2\n",
+        "\u0967\t2\n",
+        "1.0\t2\n",
+        "0\t1\t2\n",
+        "0\t6\n",
+    ],
+)
+def test_read_edges_named_cases_match_per_line_reference(tmp_path, text):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(lambda p: _read_edges(p, N_NODES), path)
+    assert got == _outcome(lambda p: read_edges_per_line(p, N_NODES), path)
