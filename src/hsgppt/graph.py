@@ -240,7 +240,7 @@ def corrupt_features(g: Graph, seed: int) -> np.ndarray:
     """Row-permuted copy of the feature matrix (uniform permutation)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n_nodes)
-    return g.features[perm].copy()
+    return g.features[perm]  # fancy indexing already copies
 
 
 def svd_reduce(features: np.ndarray, dim: int) -> np.ndarray:

@@ -22,20 +22,23 @@ engine runs each step on the ball of rows that later steps read
 (bank_filter_apply with rows), and the rows of L' it reads are assembled from
 the base graph's CSR structure and the prompt wiring (_PromptedRows); the
 whole prompted Laplacian is never built for training. Validation, predict()
-and prompted_encode() read every row and take the full path:
-PromptedGraph.laplacian, then beta_filter_apply.
+and prompted_encode() read every row and take the full path: the same
+assembly on all rows, then beta_filter_apply.
 
 Within one tune(), predict() or gradient check closure, operators are cached
-by edge set and row set: a branch whose cross and inner edge arrays equal
-those of a branch already built on the same rows reuses its Laplacian (rows),
-G_p and base term, so a training epoch whose wiring is unchanged runs no
-sparse product at all.
+by wiring and row set: the wiring is the boolean mask of wired cross pairs
+plus the inner edges, and a branch whose wiring equals that of a branch
+already built on the same rows reuses its cross edge array, Laplacian (rows),
+G_p and base term, so a training epoch whose wiring is unchanged builds no
+edge array and runs no sparse product at all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -188,13 +191,43 @@ def build_inner_edges(P: np.ndarray, tau: float) -> np.ndarray:
     return np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
 
 
+def cross_mask(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
+    """sigmoid(P @ X.T) > tau bit for bit, taking the sigmoid only near the cut.
+
+    With t = logit(tau) and delta = 1e-6 (1 + |t|), the exact sigmoid of a
+    score above t + delta lies at least ~tau (1 - tau) delta above tau, and
+    that of a score at or below t - delta as far below it. The computed
+    sigmoid is within a few ulp of 1 of the exact one, orders of magnitude
+    closer, so it falls on the same side as the raw comparison and only
+    scores in (t - delta, t + delta] need it. Where tau (1 - tau) delta is
+    below 1e-13 (tau <= 0, tau >= 1, or tau within ~1e-7 of either) every
+    score takes the sigmoid.
+    """
+    if P.shape[0] == 0:
+        return np.zeros((0, X.shape[0]), dtype=bool)
+    scores = P @ X.T
+    tau = float(tau)
+    if not 0.0 < tau < 1.0:
+        return sigmoid(scores) > tau
+    t = math.log(tau / (1.0 - tau))
+    delta = 1e-6 * (1.0 + abs(t))
+    if tau * (1.0 - tau) * delta < 1e-13:
+        return sigmoid(scores) > tau
+    mask = scores > t + delta
+    band = (scores > t - delta) ^ mask  # (t - delta, t + delta]; mask is inside
+    if band.any():
+        mask[band] = sigmoid(scores[band]) > tau
+    return mask
+
+
+def _mask_edges(mask: np.ndarray) -> np.ndarray:
+    """(row, column) pairs of a boolean mask's true entries, row-major."""
+    return np.stack(np.nonzero(mask), axis=1).astype(np.int64, copy=False)
+
+
 def build_cross_edges(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
     """(prompt index, node index) pairs with sigmoid(p_i . x_j) > tau."""
-    if P.shape[0] == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    scores = sigmoid(P @ X.T)
-    pi, xj = np.nonzero(scores > tau)
-    return np.stack([pi, xj], axis=1).astype(np.int64)
+    return _mask_edges(cross_mask(P, X, tau))
 
 
 @dataclass
@@ -205,6 +238,9 @@ class PromptedGraph:
     prompt_features: np.ndarray  # values actually inserted (post-normalization)
     inner_edges: np.ndarray  # prompt-local (i, j), i < j
     cross_edges: np.ndarray  # (prompt index, original node index)
+    # ("mask", n_total, packed cross mask, inner edge bytes) of the wiring that
+    # built it; None for a graph made from edge arrays (see wiring_key)
+    key: tuple | None = None
 
     @property
     def n_total(self) -> int:
@@ -213,6 +249,12 @@ class PromptedGraph:
     @property
     def features(self) -> np.ndarray:
         return np.vstack([self.base.features, self.prompt_features])
+
+    def wiring_key(self) -> tuple:
+        """The key of its edge set: the wiring's own, else built from the edge bytes."""
+        if self.key is not None:
+            return self.key
+        return ("edges", self.n_total, self.cross_edges.tobytes(), self.inner_edges.tobytes())
 
     def combined_edges(self) -> np.ndarray:
         n = self.base.n_nodes
@@ -226,23 +268,40 @@ class PromptedGraph:
             )
         return np.concatenate(parts, axis=0)
 
-    def laplacian(self, kind: str = "normalized"):
-        return laplacian_from_edges(self.combined_edges(), self.n_total, kind)
+    def laplacian(self, kind: str = "normalized", base=None):
+        """L' on all n_total rows, built from the combined edges (the reference).
+
+        Given base, the base graph's (normalized Laplacian CSR, integer
+        degrees), the normalized L' is assembled from those pieces instead
+        (_PromptedRows): the same CSR bit for bit, without the COO sort.
+        """
+        if base is None:
+            return laplacian_from_edges(self.combined_edges(), self.n_total, kind)
+        if kind != "normalized":
+            raise ValueError("only the normalized Laplacian is assembled from base pieces")
+        return _PromptedRows(*base, self).laplacian(np.arange(self.n_total))
 
 
 def insert_prompt(
-    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float
+    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float, known_cross=None
 ) -> PromptedGraph:
-    """Wire already-prepared prompt rows into the graph by both thresholds."""
+    """Wire already-prepared prompt rows into the graph by both thresholds.
+
+    The result carries its wiring's key: ("mask", n_total, packed cross mask,
+    inner edge bytes). known_cross(key) may return the cross edge array of
+    the same wiring built earlier, or None; that array is then reused rather
+    than rebuilt from the mask.
+    """
     P = np.asarray(prompt_features, dtype=np.float64)
     if P.ndim != 2 or (P.size and P.shape[1] != g.feature_dim):
         raise ValueError("prompt features must be (n_prompt, feature_dim)")
-    return PromptedGraph(
-        base=g,
-        prompt_features=P,
-        inner_edges=build_inner_edges(P, tau_inner),
-        cross_edges=build_cross_edges(P, g.features, tau_cross),
-    )
+    inner = build_inner_edges(P, tau_inner)
+    mask = cross_mask(P, g.features, tau_cross)
+    key = ("mask", g.n_nodes + P.shape[0], np.packbits(mask).tobytes(), inner.tobytes())
+    cross = None if known_cross is None else known_cross(key)
+    if cross is None:
+        cross = _mask_edges(mask)
+    return PromptedGraph(g, P, inner, cross, key)
 
 
 class _Branch:
@@ -368,13 +427,15 @@ class _PromptedRows:
 
 
 class _EdgeSetOperators:
-    """Prompted operators keyed by the exact edge arrays and rows, for one call.
+    """Prompted operators keyed by wiring and row set, for one call.
 
-    An entry holds the prompted Laplacian (or, for a row set, the rows of it
-    the filter reads) and, per filter, the base term and G_p of _Branch on
-    those rows; none depends on the prompt values. X and the frozen W_k never
-    change within a call, so the filter input [X W_k, 0; 0, I] is formed once
-    per filter. Per row set, entries used by the previous or the current build
+    An entry holds the wiring's cross edge array, the prompted Laplacian (or,
+    for a row set, the rows of it the filter reads) and, per filter, the base
+    term and G_p of _Branch on those rows; none depends on the prompt values.
+    Both paths assemble the Laplacian rows from the base graph's pieces
+    (_PromptedRows), built once per call. X and the frozen W_k never change
+    within a call, so the filter input [X W_k, 0; 0, I] is formed once per
+    filter. Per row set, entries used by the previous or the current build
     survive and older ones are dropped, so a wiring that changes every epoch
     holds two builds' worth and a validation build never evicts the training
     entries.
@@ -392,26 +453,35 @@ class _EdgeSetOperators:
         key = None if rows is None else rows.tobytes()
         self._gens[key] = (self._gens.get(key, (None, {}))[1], {})
 
-    def get(self, pg: PromptedGraph, k: int, rows):
-        """(Laplacian, base, gp) of filter k on pg's edge set, on rows (None: all)."""
+    def _entry(self, key, rows):
         prev, cur = self._gens[None if rows is None else rows.tobytes()]
-        key = (pg.n_total, pg.cross_edges.tobytes(), pg.inner_edges.tobytes())
         entry = cur.get(key)
         if entry is None:
             entry = prev.get(key)
-            if entry is None:
-                entry = (self._laplacian(pg, rows), {})
-            cur[key] = entry
-        lap, blocks = entry
+        return entry, cur
+
+    def cross_edges(self, key, rows):
+        """The cross edge array of wiring `key` if an entry on rows holds it, else None."""
+        entry, _ = self._entry(key, rows)
+        return None if entry is None else entry[0]
+
+    def get(self, pg: PromptedGraph, k: int, rows):
+        """(Laplacian, base, gp) of filter k on pg's edge set, on rows (None: all)."""
+        key = pg.wiring_key()
+        entry, cur = self._entry(key, rows)
+        if entry is None:
+            entry = (pg.cross_edges, self._laplacian(pg, rows), {})
+        cur[key] = entry
+        _, lap, blocks = entry
         if k not in blocks:
             blocks[k] = self._filter_blocks(lap, k, rows)
         return (lap, *blocks[k])
 
     def _laplacian(self, pg: PromptedGraph, rows):
-        if rows is None:
-            return pg.laplacian("normalized")
         if self._base is None:
             self._base = _base_pieces(self.g)
+        if rows is None:
+            return pg.laplacian(base=self._base)
         assembled = _PromptedRows(*self._base, pg)
         # a degree-C filter reads L' on the rows within C - 1 hops of rows
         radius = max(self.model.bank.order - 1, 0)
@@ -436,18 +506,19 @@ class _EdgeSetOperators:
         return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
 
 
-def _wire(g: Graph, prompt: PromptGraph, normalize: bool, stats, held=None):
+def _wire(g: Graph, prompt: PromptGraph, normalize: bool, ops: _EdgeSetOperators, rows, held=None):
     """(PromptedGraph, normalization vjp or None) for the current prompt rows."""
     P = prompt.features.value
     norm_vjp = None
     if P.shape[0] and normalize:
-        P_in, norm_vjp = normalize_prompt(P, *stats)
+        P_in, norm_vjp = normalize_prompt(P, *ops.stats)
     else:
         P_in = P
     if held is not None:
         # edge structure held constant (gradient checking): only features move
         return replace(held, prompt_features=P_in), norm_vjp
-    return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross), norm_vjp
+    known = partial(ops.cross_edges, rows=rows)
+    return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross, known), norm_vjp
 
 
 def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None, rows=None):
@@ -461,9 +532,8 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
         i = 0 if state.shared else k
         prompt = state.prompts[i]
         if i not in wired:
-            wired[i] = _wire(
-                g, prompt, state.normalize, ops.stats, None if held is None else held[k].prompted
-            )
+            held_k = None if held is None else held[k].prompted
+            wired[i] = _wire(g, prompt, state.normalize, ops, rows, held_k)
         pg, norm_vjp = wired[i]
         lap, base, gp = ops.get(pg, k, rows)
         branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompt.features))

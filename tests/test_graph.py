@@ -164,6 +164,10 @@ def test_corrupt_features_is_row_permutation():
     assert c.shape == g.features.shape
     assert not np.array_equal(c, g.features)
     assert np.allclose(np.sort(c, axis=0), np.sort(g.features, axis=0))
+    # a fresh array: writable, and no memory shared with the locked features
+    assert not np.shares_memory(c, g.features) and c.flags.writeable
+    perm = np.random.default_rng(3).permutation(g.n_nodes)
+    assert np.array_equal(c, g.features[perm])
 
 
 def test_svd_reduce_preserves_distances_at_full_rank():

@@ -152,6 +152,28 @@ def test_prelu_vjp_bit_exact_with_signed_zeros():
         assert same_bits(p.grad, want), p.name
 
 
+@pytest.mark.parametrize("case", ["mixed", "all_negative", "no_negative"])
+def test_prelu_slope_gradient_bit_exact(case):
+    rng = np.random.default_rng(12)
+    layer = LinearLayer(5, 9, rng)
+    x = rng.standard_normal((11, 5))
+    x[0] = 0.0
+    x[1] = -0.0
+    shift = {"mixed": 0.0, "all_negative": -50.0, "no_negative": 50.0}[case]
+    layer.bias.value[...] = shift
+    layer.bias.value[:3] = [0.0, -0.0, -1e-300] if case == "mixed" else shift
+    # a transposed (column-major) upstream gradient with zeros of both signs
+    d = np.asfortranarray(rng.standard_normal((11, 9)))
+    d[2, :3] = [0.0, -0.0, -0.0]
+    _, vjp = layer.apply(x)
+    s = x @ layer.weight.value + layer.bias.value
+    neg = s < 0
+    assert {"mixed": 0 < neg.sum() < neg.size, "all_negative": neg.all(), "no_negative": not neg.any()}[case]
+    vjp(d)
+    # the boolean compaction it replaces, as the oracle
+    assert same_bits(layer.alpha.grad, np.sum((d * s)[neg]))
+
+
 def test_linear_accumulate_false_leaves_grads():
     rng = np.random.default_rng(5)
     layer = LinearLayer(3, 3, rng)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import hsgppt.prompt as prompt_mod
 from hsgppt.csbm import CsbmParams, generate
-from hsgppt.graph import Graph, kshot_split, laplacian_from_edges
-from hsgppt.nn import Adam, finite_diff_check, softmax_cross_entropy, softmax_over_filters
+from hsgppt.graph import Graph, edge_homophily, kshot_split, laplacian_from_edges
+from hsgppt.nn import Adam, finite_diff_check, sigmoid, softmax_cross_entropy, softmax_over_filters
 from hsgppt.pretrain import PretrainConfig, PretrainedModel, encode, freeze, pretrain
 from hsgppt.prompt import (
     ABLATION_VARIANTS,
@@ -16,6 +18,7 @@ from hsgppt.prompt import (
     TuneConfig,
     build_cross_edges,
     build_inner_edges,
+    cross_mask,
     default_tau_cross,
     feature_stats,
     init_state,
@@ -254,9 +257,11 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
     tune(g, frozen, split, cfg)
     distinct = {_edge_key(b) for branches in epochs for b in branches}
     assert len(distinct) == 1
-    # 3 filters x 3 validations and 3 filters x 6 epochs without reuse
-    assert len(full_builds) == len(distinct)
-    assert len(row_builds) == len(distinct)
+    # 3 filters x 3 validations and 3 filters x 6 epochs without reuse; the
+    # full-row path assembles its rows too, so once for the shot rows and
+    # once for all rows, and never from the combined edges
+    assert not full_builds
+    assert len(row_builds) == 2 * len(distinct)
     # training filters once per filter; later epochs run no sparse product
     assert row_filters == [True] * frozen.model.bank.size
 
@@ -459,3 +464,206 @@ def test_variant_states_reduce_correctly():
     assert shared.prompts[0].features.name == "prompt.features"
     none = init_state(g, frozen, TuneConfig(n_prompt=0, seed=0), 2)
     assert none.shared and none.prompts[0].features.value.shape == (0, 6)
+
+
+# ---------------------------------------------------------------------------
+# the exact cross mask and the wiring-keyed operator cache
+# ---------------------------------------------------------------------------
+
+
+def reference_cross_mask(P, X, tau):
+    return sigmoid(P @ X.T) > tau
+
+
+def reference_cross_edges(P, X, tau):
+    """The sigmoid-everywhere build that cross_mask replaces (the oracle)."""
+    if P.shape[0] == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    pi, xj = np.nonzero(reference_cross_mask(P, X, tau))
+    return np.stack([pi, xj], axis=1).astype(np.int64)
+
+
+CUT_TAUS = (0.0, 1e-12, 0.2, 0.40, 0.5, 0.55, 1 - 1e-12, 1.0)
+
+
+def _cut_scores(tau):
+    """Scores at logit(tau), t +- delta, and one ulp either side of each."""
+    if not 0.0 < tau < 1.0:
+        centres = [-np.inf, -1e300, -1.0, 0.0, 1.0, 1e300, np.inf]
+    else:
+        t = np.log(tau / (1.0 - tau))
+        delta = 1e-6 * (1.0 + abs(t))
+        centres = [t - delta, t, t + delta]
+    return np.array([np.nextafter(c, d) for c in centres for d in (-np.inf, c, np.inf)])
+
+
+@given(
+    tau=st.sampled_from(CUT_TAUS),
+    offsets=st.lists(st.floats(-1e-4, 1e-4), max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_mask_equals_sigmoid_threshold(tau, offsets, seed):
+    cut = _cut_scores(tau)
+    near = cut[len(cut) // 2] + np.asarray(offsets, dtype=np.float64)
+    X = np.concatenate([cut, near, [np.nan]])[:, None]
+    # a 1 x 1 prompt of 1.0 puts each score exactly where it was placed
+    P = np.ones((1, 1))
+    assert np.array_equal(cross_mask(P, X, tau), reference_cross_mask(P, X, tau))
+    rng = np.random.default_rng(seed)
+    P, X = rng.standard_normal((4, 16)), rng.standard_normal((64, 16))
+    assert np.array_equal(cross_mask(P, X, tau), reference_cross_mask(P, X, tau))
+    assert np.array_equal(build_cross_edges(P, X, tau), reference_cross_edges(P, X, tau))
+
+
+def test_cross_mask_takes_the_sigmoid_only_inside_the_band(monkeypatch):
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return sigmoid(x)
+
+    monkeypatch.setattr(prompt_mod, "sigmoid", counting)
+    t = np.log(0.4 / 0.6)
+    X = np.array([t - 1.0, t, np.nextafter(t, np.inf), t + 1.0])[:, None]
+    P = np.ones((1, 1))
+    got = cross_mask(P, X, 0.4)
+    assert sizes == [2]  # the two scores within delta of the cut
+    assert got.tolist() == reference_cross_mask(P, X, 0.4).tolist()
+    assert got[0, 3] and not got[0, 0]
+    sizes.clear()
+    cross_mask(P, X, 1e-12)  # too close to 0 for the margin
+    assert sizes == [4]
+
+
+def _bench_setup(g):
+    frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 64, seed=0))
+    return frozen, kshot_split(g, 5, seed=0)
+
+
+def _reference_operators(monkeypatch):
+    """Wire by the oracle and build the full-row L' by PromptedGraph.laplacian."""
+    assemble = prompt_mod._EdgeSetOperators._laplacian
+
+    def laplacian(self, pg, rows):
+        return pg.laplacian() if rows is None else assemble(self, pg, rows)
+
+    monkeypatch.setattr(prompt_mod, "cross_mask", reference_cross_mask)
+    monkeypatch.setattr(prompt_mod._EdgeSetOperators, "_laplacian", laplacian)
+
+
+def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_graph, monkeypatch):
+    g = benchmark_graph
+    frozen, split = _bench_setup(g)
+    cfg = TuneConfig(n_prompt=10, epochs=30, eval_every=10, seed=1)
+    epochs = _record_training_branches(monkeypatch)
+    state, hist = tune(g, frozen, split, cfg)
+    probs = predict(g, frozen, state)
+    tau = state.prompts[0].tau_cross
+    for branches in epochs:
+        for br in branches:
+            want = reference_cross_edges(br.prompted.prompt_features, g.features, tau)
+            assert np.array_equal(br.prompted.cross_edges, want)
+    assert epochs[0][0].prompted.cross_edges.size > 0
+
+    monkeypatch.undo()
+    _reference_operators(monkeypatch)
+    ref_state, ref_hist = tune(g, frozen, split, cfg)
+    assert state_hash(state) == state_hash(ref_state)
+    assert hist == ref_hist
+    assert predict(g, frozen, ref_state).tobytes() == probs.tobytes()
+
+
+def _record_epoch_work(monkeypatch):
+    """Per training epoch, the edge arrays and filter passes its build made."""
+    work = [{"edges": 0, "filters": 0}]
+    edges, bank, forward = prompt_mod._mask_edges, prompt_mod.bank_filter_apply, prompt_mod._forward
+
+    def counting_edges(mask):
+        work[-1]["edges"] += 1
+        return edges(mask)
+
+    def counting_bank(L, filters, x, rows=None):
+        work[-1]["filters"] += 1
+        return bank(L, filters, x, rows=rows)
+
+    def spy(g, frozen, state, branches, train):
+        if train:
+            work[-1]["branches"] = list(branches)
+            work.append({"edges": 0, "filters": 0})
+        return forward(g, frozen, state, branches, train)
+
+    monkeypatch.setattr(prompt_mod, "_mask_edges", counting_edges)
+    monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
+    monkeypatch.setattr(prompt_mod, "_forward", spy)
+    return work
+
+
+def _new_wirings(prev, cur):
+    return {br.prompted.key for br in cur["branches"]} - {br.prompted.key for br in prev["branches"]}
+
+
+def test_unchanged_wiring_builds_no_edges_and_runs_no_sparse_product(benchmark_graph, monkeypatch):
+    g = benchmark_graph
+    frozen, split = _bench_setup(g)
+    work = _record_epoch_work(monkeypatch)
+    # validation only after the last epoch, so every build before it trains
+    tune(g, frozen, split, TuneConfig(n_prompt=10, epochs=6, eval_every=10**6, seed=1))
+    epochs = work[:6]
+    # the per-filter prompts start equal, so the first build wires once
+    assert epochs[0]["edges"] == 1 and epochs[0]["filters"] == frozen.model.bank.size
+    unchanged = 0
+    for prev, cur in zip(epochs, epochs[1:]):
+        new = _new_wirings(prev, cur)
+        # one edge array per new wiring; a wiring seen last epoch reuses its own
+        assert cur["edges"] == len(new)
+        for br, old in zip(cur["branches"], prev["branches"]):
+            if br.prompted.key == old.prompted.key:
+                assert br.prompted.cross_edges is old.prompted.cross_edges
+                assert br.lap is old.lap and br.gp is old.gp and br.base is old.base
+        if not new:
+            unchanged += 1
+            assert cur["filters"] == 0
+    if edge_homophily(g) < 0.5:
+        assert unchanged == 5  # every pair wired, every epoch
+
+
+def test_changing_wiring_gets_fresh_operators_every_epoch(monkeypatch):
+    g, frozen = tiny_setup(h=0.8)
+    split = kshot_split(g, 3, seed=0)
+    work = _record_epoch_work(monkeypatch)
+    tau = 0.55
+    tune(g, frozen, split, TuneConfig(n_prompt=4, tau_cross=tau, epochs=8, eval_every=10**6, seed=0))
+    epochs = work[:8]
+    changed = 0
+    for prev, cur in zip(epochs, epochs[1:]):
+        assert cur["edges"] == len(_new_wirings(prev, cur))
+        for br, old in zip(cur["branches"], prev["branches"]):
+            pg = br.prompted
+            want = reference_cross_edges(pg.prompt_features, g.features, tau)
+            assert np.array_equal(pg.cross_edges, want)
+            if pg.key != old.prompted.key:
+                changed += 1
+                assert not np.array_equal(pg.cross_edges, old.prompted.cross_edges)
+                assert br.lap is not old.lap and br.gp is not old.gp and br.base is not old.base
+    assert changed > 0
+
+
+def test_full_row_laplacian_equals_the_reference(benchmark_graph):
+    g0, _ = tiny_setup(n=60, f=8, seed=1)
+    keep = (g0.edges != 5).all(axis=1)  # node 5 left without edges
+    tiny = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
+    rng = np.random.default_rng(4)
+    for g, tau_cross in ((tiny, 0.5), (benchmark_graph, default_tau_cross(edge_homophily(benchmark_graph)))):
+        base = prompt_mod._base_pieces(g)
+        mu_o, sigma_o = feature_stats(g.features)
+        for n_p in (0, 10):  # n_p = 0 is the no_prompt ablation
+            P = rng.standard_normal((n_p, g.feature_dim)) * sigma_o + mu_o
+            pg = insert_prompt(g, P, 0.2, tau_cross)
+            assert (pg.cross_edges.size > 0) == (n_p > 0)
+            got, want = pg.laplacian(base=base), pg.laplacian()
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+    with pytest.raises(ValueError, match="normalized"):
+        pg.laplacian("unnormalized", base=base)
