@@ -240,7 +240,9 @@ def corrupt_features(g: Graph, seed: int) -> np.ndarray:
     """Row-permuted copy of the feature matrix (uniform permutation)."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n_nodes)
-    return g.features[perm]  # fancy indexing already copies
+    # fancy indexing already copies, but without the second copy pre-training
+    # leaves a heap on which the next tune() page-faults more (CHANGES.md)
+    return g.features[perm].copy()
 
 
 def svd_reduce(features: np.ndarray, dim: int) -> np.ndarray:

@@ -28,9 +28,9 @@ assembly on all rows, then beta_filter_apply.
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
 plus the inner edges, and a branch whose wiring equals that of a branch
-already built on the same rows reuses its cross edge array, Laplacian (rows),
-G_p and base term, so a training epoch whose wiring is unchanged builds no
-edge array and runs no sparse product at all.
+already built on the same rows reuses its Laplacian (rows), G_p and base
+term, so a training epoch whose wiring is unchanged builds no edge array and
+runs no sparse product at all.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,7 +200,7 @@ def cross_mask(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
     sigmoid is within a few ulp of 1 of the exact one, orders of magnitude
     closer, so it falls on the same side as the raw comparison and only
     scores in (t - delta, t + delta] need it. Where tau (1 - tau) delta is
-    below 1e-13 (tau <= 0, tau >= 1, or tau within ~1e-7 of either) every
+    below 1e-13 (tau <= 0, tau >= 1, or tau within ~5e-9 of either) every
     score takes the sigmoid.
     """
     if P.shape[0] == 0:
@@ -237,10 +237,17 @@ class PromptedGraph:
     base: Graph
     prompt_features: np.ndarray  # values actually inserted (post-normalization)
     inner_edges: np.ndarray  # prompt-local (i, j), i < j
-    cross_edges: np.ndarray  # (prompt index, original node index)
-    # ("mask", n_total, packed cross mask, inner edge bytes) of the wiring that
-    # built it; None for a graph made from edge arrays (see wiring_key)
-    key: tuple | None = None
+    mask: np.ndarray  # (N_p, N) bool: prompt i wired to original node j
+    key: tuple  # (n_total, packed mask, inner edge bytes) of the wiring
+
+    @cached_property
+    def cross_edges(self) -> np.ndarray:
+        """(prompt index, original node index) pairs of the mask, row-major.
+
+        Built on first use, so a wiring whose operators are already cached
+        never builds them.
+        """
+        return _mask_edges(self.mask)
 
     @property
     def n_total(self) -> int:
@@ -249,12 +256,6 @@ class PromptedGraph:
     @property
     def features(self) -> np.ndarray:
         return np.vstack([self.base.features, self.prompt_features])
-
-    def wiring_key(self) -> tuple:
-        """The key of its edge set: the wiring's own, else built from the edge bytes."""
-        if self.key is not None:
-            return self.key
-        return ("edges", self.n_total, self.cross_edges.tobytes(), self.inner_edges.tobytes())
 
     def combined_edges(self) -> np.ndarray:
         n = self.base.n_nodes
@@ -283,25 +284,16 @@ class PromptedGraph:
 
 
 def insert_prompt(
-    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float, known_cross=None
+    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float
 ) -> PromptedGraph:
-    """Wire already-prepared prompt rows into the graph by both thresholds.
-
-    The result carries its wiring's key: ("mask", n_total, packed cross mask,
-    inner edge bytes). known_cross(key) may return the cross edge array of
-    the same wiring built earlier, or None; that array is then reused rather
-    than rebuilt from the mask.
-    """
+    """Wire already-prepared prompt rows into the graph by both thresholds."""
     P = np.asarray(prompt_features, dtype=np.float64)
     if P.ndim != 2 or (P.size and P.shape[1] != g.feature_dim):
         raise ValueError("prompt features must be (n_prompt, feature_dim)")
     inner = build_inner_edges(P, tau_inner)
     mask = cross_mask(P, g.features, tau_cross)
-    key = ("mask", g.n_nodes + P.shape[0], np.packbits(mask).tobytes(), inner.tobytes())
-    cross = None if known_cross is None else known_cross(key)
-    if cross is None:
-        cross = _mask_edges(mask)
-    return PromptedGraph(g, P, inner, cross, key)
+    key = (g.n_nodes + P.shape[0], np.packbits(mask).tobytes(), inner.tobytes())
+    return PromptedGraph(g, P, inner, mask, key)
 
 
 class _Branch:
@@ -429,16 +421,15 @@ class _PromptedRows:
 class _EdgeSetOperators:
     """Prompted operators keyed by wiring and row set, for one call.
 
-    An entry holds the wiring's cross edge array, the prompted Laplacian (or,
-    for a row set, the rows of it the filter reads) and, per filter, the base
-    term and G_p of _Branch on those rows; none depends on the prompt values.
-    Both paths assemble the Laplacian rows from the base graph's pieces
-    (_PromptedRows), built once per call. X and the frozen W_k never change
-    within a call, so the filter input [X W_k, 0; 0, I] is formed once per
-    filter. Per row set, entries used by the previous or the current build
-    survive and older ones are dropped, so a wiring that changes every epoch
-    holds two builds' worth and a validation build never evicts the training
-    entries.
+    An entry holds the prompted Laplacian (or, for a row set, the rows of it
+    the filter reads) and, per filter, the base term and G_p of _Branch on
+    those rows; none depends on the prompt values. Both paths assemble the
+    Laplacian rows from the base graph's pieces (_PromptedRows), built once
+    per call. X and the frozen W_k never change within a call, so the filter
+    input [X W_k, 0; 0, I] is formed once per filter. Per row set, entries
+    used by the previous or the current build survive and older ones are
+    dropped, so a wiring that changes every epoch holds two builds' worth and
+    a validation build never evicts the training entries.
     """
 
     def __init__(self, g: Graph, model):
@@ -453,26 +444,16 @@ class _EdgeSetOperators:
         key = None if rows is None else rows.tobytes()
         self._gens[key] = (self._gens.get(key, (None, {}))[1], {})
 
-    def _entry(self, key, rows):
-        prev, cur = self._gens[None if rows is None else rows.tobytes()]
-        entry = cur.get(key)
-        if entry is None:
-            entry = prev.get(key)
-        return entry, cur
-
-    def cross_edges(self, key, rows):
-        """The cross edge array of wiring `key` if an entry on rows holds it, else None."""
-        entry, _ = self._entry(key, rows)
-        return None if entry is None else entry[0]
-
     def get(self, pg: PromptedGraph, k: int, rows):
         """(Laplacian, base, gp) of filter k on pg's edge set, on rows (None: all)."""
-        key = pg.wiring_key()
-        entry, cur = self._entry(key, rows)
+        prev, cur = self._gens[None if rows is None else rows.tobytes()]
+        entry = cur.get(pg.key)
         if entry is None:
-            entry = (pg.cross_edges, self._laplacian(pg, rows), {})
-        cur[key] = entry
-        _, lap, blocks = entry
+            entry = prev.get(pg.key)
+            if entry is None:
+                entry = (self._laplacian(pg, rows), {})
+            cur[pg.key] = entry
+        lap, blocks = entry
         if k not in blocks:
             blocks[k] = self._filter_blocks(lap, k, rows)
         return (lap, *blocks[k])
@@ -506,19 +487,18 @@ class _EdgeSetOperators:
         return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
 
 
-def _wire(g: Graph, prompt: PromptGraph, normalize: bool, ops: _EdgeSetOperators, rows, held=None):
+def _wire(g: Graph, prompt: PromptGraph, normalize: bool, stats, held=None):
     """(PromptedGraph, normalization vjp or None) for the current prompt rows."""
     P = prompt.features.value
     norm_vjp = None
     if P.shape[0] and normalize:
-        P_in, norm_vjp = normalize_prompt(P, *ops.stats)
+        P_in, norm_vjp = normalize_prompt(P, *stats)
     else:
         P_in = P
     if held is not None:
         # edge structure held constant (gradient checking): only features move
         return replace(held, prompt_features=P_in), norm_vjp
-    known = partial(ops.cross_edges, rows=rows)
-    return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross, known), norm_vjp
+    return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross), norm_vjp
 
 
 def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None, rows=None):
@@ -532,8 +512,9 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
         i = 0 if state.shared else k
         prompt = state.prompts[i]
         if i not in wired:
-            held_k = None if held is None else held[k].prompted
-            wired[i] = _wire(g, prompt, state.normalize, ops, rows, held_k)
+            wired[i] = _wire(
+                g, prompt, state.normalize, ops.stats, None if held is None else held[k].prompted
+            )
         pg, norm_vjp = wired[i]
         lap, base, gp = ops.get(pg, k, rows)
         branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompt.features))

@@ -143,21 +143,6 @@ def test_pretrain_bit_identical_to_per_filter_views(monkeypatch):
         assert content_hash(shared) == content_hash(alone)
 
 
-def test_pretrain_unchanged_by_a_copying_corruption(monkeypatch):
-    g = small_graph(n=60, f=8)
-    cfg = PretrainConfig(order=2, hidden_dim=8, lr=5e-3, epochs=4, patience=4, seed=3)
-    model, hist = pretrain(g, cfg)
-    # the corruption returns fancy-indexed rows; an extra copy changes nothing
-    monkeypatch.setattr(
-        importlib.import_module("hsgppt.pretrain"),
-        "corrupt_features",
-        lambda g, seed: corrupt_features(g, seed).copy(),
-    )
-    copied, hist_copied = pretrain(g, cfg)
-    assert hist == hist_copied
-    assert content_hash(model) == content_hash(copied)
-
-
 def test_pretrain_restores_best_epoch_parameters():
     g = small_graph(n=40, f=8)
     cfg = PretrainConfig(order=2, hidden_dim=8, lr=5e-3, epochs=25, patience=25, seed=1)
