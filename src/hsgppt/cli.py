@@ -10,16 +10,20 @@ deterministic outputs are byte-stable across reruns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import csbm, evaluate, prompt, spectral
+from .csbm import CsbmParams
+from .evaluate import PipelineConfig
 from .graph import (
     DatasetError,
     Graph,
@@ -42,7 +46,7 @@ from .pretrain import (
     pretrain,
     save_model,
 )
-from .prompt import TuneConfig, make_ablation, tuning_loss_fn
+from .prompt import TuneConfig, make_ablation, tuning_loss_fn, variant_configs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,169 +63,155 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-_DEFAULTS = {
-    "gen-csbm": {
-        "n": 3000, "f": 128, "d": 50.0, "h": 0.5, "mu": 10.0, "seed": 0, "out": None,
-    },
-    "analyze": {
-        "data": None, "out": None, "kind": "normalized", "order": 2,
-        "feature_transform": "none", "eigen_limit": spectral.DENSE_EIGEN_LIMIT,
-    },
-    "pretrain": {
-        "data": None, "out": None, "order": 2, "hidden": 64, "lr": 1e-3,
-        "epochs": 500, "patience": 50, "seed": 0, "feature_transform": "none",
-        "low_pass_only": False,
-    },
-    "tune": {
-        "data": None, "ckpt": None, "out": None, "k": 5, "seed": 0,
-        "n_prompt": 10, "tau_inner": 0.2, "tau_cross": None, "lr": 5e-3,
-        "epochs": 2000, "eval_every": 10, "variant": "full",
-        "feature_transform": "none",
-    },
-    "eval": {
-        "mode": "transductive", "data": None, "source": None, "target": None,
-        "out": None, "seeds": "0,1,2,3,4", "k": 5, "order": 2, "hidden": 64,
-        "pretrain_lr": 1e-3, "pretrain_epochs": 500, "patience": 50,
-        "n_prompt": 10, "tau_inner": 0.2, "tau_cross": None, "tune_lr": 5e-3,
-        "tune_epochs": 2000, "eval_every": 10, "svd_dim": 128, "workers": 0,
-        "f1_average": "macro", "feature_transform": "none", "variant": "full",
-    },
-    "sweep": {
-        "out": None, "h_values": "0.0,0.2,0.4,0.6,0.8,1.0", "seeds": "0,1,2",
-        "n": 3000, "f": 128, "d": 50.0, "mu": 10.0,
-    },
-    "ablate": {
-        "data": None, "out": None, "seeds": "0,1,2,3,4", "k": 5, "order": 2,
-        "hidden": 64, "pretrain_lr": 1e-3, "pretrain_epochs": 500, "patience": 50,
-        "n_prompt": 10, "tau_inner": 0.2, "tau_cross": None, "tune_lr": 5e-3,
-        "tune_epochs": 2000, "eval_every": 10, "feature_transform": "none",
-    },
-    "gradcheck": {"tol": 1e-4, "seed": 0},
+# ---------------------------------------------------------------------------
+# config keys: every option is one (--pretrain-lr sets pretrain_lr). A key that
+# sets a field of a config dataclass takes that field's type and default, and
+# a config file value must have its key's type (JSON true/false for a switch).
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """One config key; its flag is --name with dashes for underscores."""
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    field: tuple | None = None  # (config dataclass, field name) the key sets
+
+
+def _field(name, cls, field=None, choices=None, help=None) -> _Key:
+    """A key that sets cls.<field> (default: the key's name), typed and
+    defaulted by that field."""
+    field = field or name
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == field)
+    hint = typing.get_type_hints(cls)[field]
+    types = [t for t in typing.get_args(hint) if t is not type(None)] or [hint]
+    return _Key(name, types[0], default, choices, help, (cls, field))
+
+
+def _pretrain_keys(prefix=""):
+    return (
+        _field("order", PretrainConfig), _field("hidden", PretrainConfig, "hidden_dim"),
+        _field(prefix + "lr", PretrainConfig, "lr"),
+        _field(prefix + "epochs", PretrainConfig, "epochs"), _field("patience", PretrainConfig),
+    )
+
+
+def _tune_keys(prefix=""):
+    return (
+        _field("n_prompt", TuneConfig), _field("tau_inner", TuneConfig),
+        _field("tau_cross", TuneConfig, help="none: picked by the graph's edge homophily"),
+        _field(prefix + "lr", TuneConfig, "lr"), _field(prefix + "epochs", TuneConfig, "epochs"),
+        _field("eval_every", TuneConfig),
+    )
+
+
+_DATA, _OUT = _Key("data"), _Key("out")
+_SHOTS = _field("k", PipelineConfig, "k_shots", help="shots per class")
+_SEEDS = _Key("seeds", default="0,1,2,3,4", help="comma-separated list")
+_FEATURE_TRANSFORM = _Key("feature_transform", default="none",
+                          choices=("none", "row-normalize", "binarize"))
+_CSBM_SIZE = (
+    _field("n", CsbmParams), _field("f", CsbmParams, help="feature dimension"),
+    _field("d", CsbmParams, "d_avg", help="expected average degree"),
+)
+_TUNING_VARIANTS = tuple(v for v in prompt.ABLATION_VARIANTS if not make_ablation(v).low_pass_bank)
+
+# command -> (help, config keys in flag order); eval and ablate share one
+# pre-training and one tuning group
+_TABLE = {
+    "gen-csbm": ("generate a synthetic two-class dataset", (
+        *_CSBM_SIZE, _field("h", CsbmParams, help="edge homophily in [0, 1]"),
+        _field("mu", CsbmParams), _field("seed", CsbmParams), _OUT,
+    )),
+    "analyze": ("spectral and homophily diagnostics", (
+        _DATA, _OUT, _Key("kind", default="normalized", choices=("normalized", "unnormalized")),
+        _field("order", PretrainConfig), _FEATURE_TRANSFORM,
+        _Key("eigen_limit", int, spectral.DENSE_EIGEN_LIMIT,
+             help="largest graph the dense eigensolver takes"),
+    )),
+    "pretrain": ("pre-train the spectral backbone", (
+        _DATA, _OUT, *_pretrain_keys(), _field("seed", PretrainConfig),
+        _Key("low_pass_only", bool, False, help="the low_pass_only variant's bank"),
+        _FEATURE_TRANSFORM,
+    )),
+    "tune": ("prompt-tune a frozen checkpoint", (
+        _DATA, _Key("ckpt"), _OUT, _SHOTS, _field("seed", TuneConfig), *_tune_keys(),
+        _Key("variant", default="full", choices=_TUNING_VARIANTS,
+             help="variants that act at tuning time; the checkpoint fixes the bank, "
+                  "so for low_pass_only use pretrain --low-pass-only"),
+        _FEATURE_TRANSFORM,
+    )),
+    "eval": ("full pipeline over several seeds", (
+        _Key("mode", default="transductive", choices=("transductive", "inductive")),
+        _DATA, _Key("source"), _Key("target"), _OUT, _SEEDS, _SHOTS,
+        *_pretrain_keys("pretrain_"), *_tune_keys("tune_"),
+        _field("svd_dim", PipelineConfig, help="inductive mode only"),
+        _Key("workers", int, 0, help="0 = HSGPPT_THREADS or 1"),
+        _field("f1_average", PipelineConfig, choices=("macro", "weighted")),
+        _FEATURE_TRANSFORM, _Key("variant", default="full", choices=prompt.ABLATION_VARIANTS),
+    )),
+    "sweep": ("reference-filter sweep over homophily levels", (
+        _OUT, _Key("h_values", default="0.0,0.2,0.4,0.6,0.8,1.0", help="comma-separated list"),
+        _Key("seeds", default="0,1,2", help="comma-separated list"),
+        *_CSBM_SIZE, _field("mu", CsbmParams),
+    )),
+    "ablate": ("run the full model and its ablations", (
+        _DATA, _OUT, _SEEDS, _SHOTS, *_pretrain_keys("pretrain_"), *_tune_keys("tune_"),
+        _FEATURE_TRANSFORM,
+    )),
+    "gradcheck": ("finite-difference check of both training graphs", (
+        _Key("tol", float, 1e-4), _field("seed", PretrainConfig),
+    )),
 }
+
+_DEFAULTS = {
+    command: {key.name: key.default for key in keys} for command, (_, keys) in _TABLE.items()
+}
+
+
+def _flag(key: _Key) -> str:
+    return "--" + key.name.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="hsgppt", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="command")
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("gen-csbm", help="generate a synthetic two-class dataset")
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--f", type=int, default=S, help="feature dimension")
-    p.add_argument("--d", type=float, default=S, help="expected average degree")
-    p.add_argument("--h", type=float, default=S, help="edge homophily in [0, 1]")
-    p.add_argument("--mu", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("analyze", help="spectral and homophily diagnostics")
-    p.add_argument("--data", default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--kind", choices=["normalized", "unnormalized"], default=S)
-    p.add_argument("--order", type=int, default=S)
-    p.add_argument("--feature-transform", dest="feature_transform",
-                   choices=["none", "row-normalize", "binarize"], default=S)
-    p.add_argument("--eigen-limit", dest="eigen_limit", type=int, default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("pretrain", help="pre-train the spectral backbone")
-    p.add_argument("--data", default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--order", type=int, default=S)
-    p.add_argument("--hidden", type=int, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--patience", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--low-pass-only", dest="low_pass_only", action="store_true", default=S)
-    p.add_argument("--feature-transform", dest="feature_transform",
-                   choices=["none", "row-normalize", "binarize"], default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("tune", help="prompt-tune a frozen checkpoint")
-    p.add_argument("--data", default=S)
-    p.add_argument("--ckpt", default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--k", type=int, default=S, help="shots per class")
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--n-prompt", dest="n_prompt", type=int, default=S)
-    p.add_argument("--tau-inner", dest="tau_inner", type=float, default=S)
-    p.add_argument("--tau-cross", dest="tau_cross", type=float, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=S)
-    p.add_argument("--variant", choices=list(prompt.ABLATION_VARIANTS), default=S)
-    p.add_argument("--feature-transform", dest="feature_transform",
-                   choices=["none", "row-normalize", "binarize"], default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("eval", help="full pipeline over several seeds")
-    p.add_argument("--mode", choices=["transductive", "inductive"], default=S)
-    p.add_argument("--data", default=S)
-    p.add_argument("--source", default=S)
-    p.add_argument("--target", default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--seeds", default=S, help="comma-separated list")
-    p.add_argument("--k", type=int, default=S)
-    p.add_argument("--order", type=int, default=S)
-    p.add_argument("--hidden", type=int, default=S)
-    p.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=S)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=S)
-    p.add_argument("--patience", type=int, default=S)
-    p.add_argument("--n-prompt", dest="n_prompt", type=int, default=S)
-    p.add_argument("--tau-inner", dest="tau_inner", type=float, default=S)
-    p.add_argument("--tau-cross", dest="tau_cross", type=float, default=S)
-    p.add_argument("--tune-lr", dest="tune_lr", type=float, default=S)
-    p.add_argument("--tune-epochs", dest="tune_epochs", type=int, default=S)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=S)
-    p.add_argument("--svd-dim", dest="svd_dim", type=int, default=S)
-    p.add_argument("--workers", type=int, default=S, help="0 = HSGPPT_THREADS or 1")
-    p.add_argument("--f1-average", dest="f1_average", choices=["macro", "weighted"], default=S)
-    p.add_argument("--variant", choices=list(prompt.ABLATION_VARIANTS), default=S)
-    p.add_argument("--feature-transform", dest="feature_transform",
-                   choices=["none", "row-normalize", "binarize"], default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("sweep", help="reference-filter sweep over homophily levels")
-    p.add_argument("--out", default=S)
-    p.add_argument("--h-values", dest="h_values", default=S)
-    p.add_argument("--seeds", default=S)
-    p.add_argument("--n", type=int, default=S)
-    p.add_argument("--f", type=int, default=S)
-    p.add_argument("--d", type=float, default=S)
-    p.add_argument("--mu", type=float, default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("ablate", help="run the full model and its ablations")
-    p.add_argument("--data", default=S)
-    p.add_argument("--out", default=S)
-    p.add_argument("--seeds", default=S)
-    p.add_argument("--k", type=int, default=S)
-    p.add_argument("--order", type=int, default=S)
-    p.add_argument("--hidden", type=int, default=S)
-    p.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=S)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=S)
-    p.add_argument("--patience", type=int, default=S)
-    p.add_argument("--n-prompt", dest="n_prompt", type=int, default=S)
-    p.add_argument("--tau-inner", dest="tau_inner", type=float, default=S)
-    p.add_argument("--tau-cross", dest="tau_cross", type=float, default=S)
-    p.add_argument("--tune-lr", dest="tune_lr", type=float, default=S)
-    p.add_argument("--tune-epochs", dest="tune_epochs", type=int, default=S)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=S)
-    p.add_argument("--feature-transform", dest="feature_transform",
-                   choices=["none", "row-normalize", "binarize"], default=S)
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of both training graphs")
-    p.add_argument("--tol", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--config", default=None)
-
+    for command, (text, keys) in _TABLE.items():
+        p = sub.add_parser(command, help=text)
+        for key in keys:
+            if key.type is bool:
+                kind = {"action": "store_true"}
+            else:
+                metavar = "{" + ",".join(key.choices) + "}" if key.choices else None
+                kind = {"type": key.type, "metavar": metavar}
+            p.add_argument(_flag(key), dest=key.name, default=argparse.SUPPRESS,
+                           help=key.help, **kind)
+        p.add_argument("--config", default=None, help="JSON object of config keys")
     return top
 
 
+# JSON types a config file may give for each flag type
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _from_json(key: _Key, value):
+    """A config file value, checked against and converted to its key's type."""
+    if value is None and key.default is None:
+        return None
+    if type(value) not in _JSON_TYPES[key.type]:
+        null = " or null" if key.default is None else ""
+        raise CliUsageError(
+            f"config key {key.name} takes a {key.type.__name__}{null}, not {json.dumps(value)}"
+        )
+    return key.type(value)
+
+
 def _merge_config(command: str, ns: argparse.Namespace) -> dict:
+    keys = {key.name: key for key in _TABLE[command][1]}
     cfg = dict(_DEFAULTS[command])
     config_path = getattr(ns, "config", None)
     if config_path:
@@ -237,10 +227,23 @@ def _merge_config(command: str, ns: argparse.Namespace) -> dict:
         unknown = sorted(set(data) - set(cfg))
         if unknown:
             raise CliUsageError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(data)
-    explicit = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    cfg.update(explicit)
+        cfg.update((name, _from_json(keys[name], value)) for name, value in data.items())
+    cfg.update((k, v) for k, v in vars(ns).items() if k not in ("command", "config"))
+    for name, value in cfg.items():
+        key = keys[name]
+        if key.choices and value not in key.choices:
+            hint = f" ({key.help})" if key.help else ""
+            raise CliUsageError(
+                f"{_flag(key)} takes one of {', '.join(key.choices)}, not {value!r}{hint}"
+            )
     return cfg
+
+
+def _config(cls, command: str, cfg: dict, **extra):
+    """cls built from the command's keys that set its fields."""
+    fields = {key.field[1]: cfg[key.name] for key in _TABLE[command][1]
+              if key.field and key.field[0] is cls}
+    return cls(**fields, **extra)
 
 
 def _require(cfg, *keys):
@@ -291,21 +294,20 @@ def _write_tsv(path: Path, header, rows) -> None:
 
 def _load_data(cfg, key="data") -> Graph:
     g = load_graph(cfg[key])
-    mode = cfg.get("feature_transform", "none")
+    mode = cfg["feature_transform"]
     if mode != "none":
         g = with_features(g, transform_features(g.features, mode))
     return g
 
 
 def _workers(cfg) -> int:
-    w = int(cfg.get("workers", 0) or 0)
-    if w > 0:
-        return w
+    if cfg["workers"] > 0:
+        return cfg["workers"]
     env = os.environ.get("HSGPPT_THREADS", "")
     try:
         return max(1, int(env)) if env else 1
     except ValueError:
-        return 1
+        raise CliUsageError(f"HSGPPT_THREADS must be an integer, not {env!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +317,7 @@ def _workers(cfg) -> int:
 
 def _cmd_gen_csbm(cfg) -> int:
     _require(cfg, "out")
-    params = csbm.CsbmParams(
-        n=int(cfg["n"]), f=int(cfg["f"]), d_avg=float(cfg["d"]),
-        h=float(cfg["h"]), mu=float(cfg["mu"]), seed=int(cfg["seed"]),
-    )
-    g = csbm.generate(params)
+    g = csbm.generate(_config(CsbmParams, "gen-csbm", cfg))
     out = _out_dir(cfg)
     save_graph(g, out)
     _finish_outputs(out, "gen-csbm", cfg, ["meta.json", "edges.tsv", "features.bin", "labels.tsv"])
@@ -366,8 +364,8 @@ def _cmd_analyze(cfg) -> int:
                 "mean_s_high_unnormalized": float(np.mean(s_vals)),
             }
 
-    if g.n_nodes <= int(cfg["eigen_limit"]):
-        decomp = spectral.eigendecompose(laplacian(g, "normalized"), limit=int(cfg["eigen_limit"]))
+    if g.n_nodes <= cfg["eigen_limit"]:
+        decomp = spectral.eigendecompose(laplacian(g, "normalized"), limit=cfg["eigen_limit"])
         energies = []
         for j in range(g.feature_dim):
             x = g.features[:, j]
@@ -385,7 +383,7 @@ def _cmd_analyze(cfg) -> int:
     else:
         report["spectral_energy"] = "skipped: graph exceeds dense eigensolver limit"
 
-    bank = spectral.FilterBank.full(int(cfg["order"]))
+    bank = spectral.FilterBank.full(cfg["order"])
     lam, curves = spectral.response_grid(list(bank.filters) + list(spectral.TRIPLE_FILTERS))
     header = ["lambda"] + list(curves)
     rows = [[lam[i]] + [curves[name][i] for name in curves] for i in range(lam.size)]
@@ -402,47 +400,19 @@ def _cmd_analyze(cfg) -> int:
     return EXIT_OK
 
 
-def _pretrain_config(cfg) -> PretrainConfig:
-    filters = ((0, int(cfg["order"])),) if cfg.get("low_pass_only") else None
-    return PretrainConfig(
-        order=int(cfg["order"]),
-        hidden_dim=int(cfg["hidden"]),
-        lr=float(cfg.get("lr", cfg.get("pretrain_lr"))),
-        epochs=int(cfg.get("epochs", cfg.get("pretrain_epochs"))),
-        patience=int(cfg["patience"]),
-        seed=int(cfg.get("seed", 0)),
-        filters=filters,
-    )
-
-
 def _cmd_pretrain(cfg) -> int:
     _require(cfg, "data", "out")
     g = _load_data(cfg)
     out = _out_dir(cfg)
-    model, history = pretrain(g, _pretrain_config(cfg))
+    variant = "low_pass_only" if cfg["low_pass_only"] else "full"
+    pre, _ = variant_configs(variant, _config(PretrainConfig, "pretrain", cfg), TuneConfig())
+    model, history = pretrain(g, pre)
     save_model(model, out / "model.ckpt")
     _write_tsv(out / "loss_history.tsv", ["epoch", "loss"], list(enumerate(history)))
     _finish_outputs(out, "pretrain", cfg, ["model.ckpt", "loss_history.tsv"])
     print(f"pre-trained {model.bank.size} filter encoder(s) on {g.name}: "
           f"final loss {history[-1]:.4f} ({len(history)} epochs)")
     return EXIT_OK
-
-
-def _tune_config(cfg, variant: str) -> TuneConfig:
-    spec = make_ablation(variant)
-    n_prompt = int(cfg["n_prompt"]) if spec.n_prompt is None else spec.n_prompt
-    tau_cross = cfg["tau_cross"]
-    return TuneConfig(
-        n_prompt=n_prompt,
-        tau_inner=float(cfg["tau_inner"]),
-        tau_cross=float(tau_cross) if tau_cross is not None else None,
-        lr=float(cfg.get("lr", cfg.get("tune_lr"))),
-        epochs=int(cfg.get("epochs", cfg.get("tune_epochs"))),
-        eval_every=int(cfg["eval_every"]),
-        seed=int(cfg.get("seed", 0)),
-        shared_prompt=spec.shared_prompt,
-        normalize=spec.normalize,
-    )
 
 
 def _cmd_tune(cfg) -> int:
@@ -453,8 +423,9 @@ def _cmd_tune(cfg) -> int:
         raise DatasetError("checkpoint not found", path=ckpt)
     frozen = freeze(load_model(ckpt))
     out = _out_dir(cfg)
-    split = kshot_split(g, int(cfg["k"]), seed=int(cfg["seed"]))
-    state, history = prompt.tune(g, frozen, split, _tune_config(cfg, cfg["variant"]))
+    _, tune_cfg = variant_configs(cfg["variant"], PretrainConfig(), _config(TuneConfig, "tune", cfg))
+    split = kshot_split(g, cfg["k"], seed=cfg["seed"])
+    state, history = prompt.tune(g, frozen, split, tune_cfg)
     prompt.save_state(state, out / "state.bin")
     _write_tsv(out / "tune_history.tsv", ["epoch", "loss", "val_f1"], history)
     _finish_outputs(out, "tune", cfg, ["state.bin", "tune_history.tsv"])
@@ -463,23 +434,11 @@ def _cmd_tune(cfg) -> int:
     return EXIT_OK
 
 
-def _pipeline_config(cfg) -> evaluate.PipelineConfig:
-    return evaluate.PipelineConfig(
-        pretrain=PretrainConfig(
-            order=int(cfg["order"]),
-            hidden_dim=int(cfg["hidden"]),
-            lr=float(cfg["pretrain_lr"]),
-            epochs=int(cfg["pretrain_epochs"]),
-            patience=int(cfg["patience"]),
-        ),
-        tune=_tune_config(
-            {**cfg, "lr": cfg["tune_lr"], "epochs": cfg["tune_epochs"]},
-            cfg.get("variant", "full"),
-        ),
-        k_shots=int(cfg["k"]),
-        f1_average=cfg.get("f1_average", "macro"),
-        svd_dim=int(cfg.get("svd_dim", 128)),
+def _pipeline_config(command: str, cfg: dict, variant: str = "full") -> PipelineConfig:
+    pre, tune_cfg = variant_configs(
+        variant, _config(PretrainConfig, command, cfg), _config(TuneConfig, command, cfg)
     )
+    return _config(PipelineConfig, command, cfg, pretrain=pre, tune=tune_cfg)
 
 
 def _cmd_eval(cfg) -> int:
@@ -487,7 +446,7 @@ def _cmd_eval(cfg) -> int:
     seeds = _parse_list(cfg["seeds"], int)
     if not seeds:
         raise CliUsageError("at least one seed is required")
-    pipeline = _pipeline_config(cfg)
+    pipeline = _pipeline_config("eval", cfg, cfg["variant"])
     t0 = time.perf_counter()
     if cfg["mode"] == "transductive":
         _require(cfg, "data")
@@ -519,10 +478,7 @@ def _cmd_sweep(cfg) -> int:
     _require(cfg, "out")
     h_values = _parse_list(cfg["h_values"], float)
     seeds = _parse_list(cfg["seeds"], int)
-    params = csbm.CsbmParams(
-        n=int(cfg["n"]), f=int(cfg["f"]), d_avg=float(cfg["d"]), mu=float(cfg["mu"])
-    )
-    cells = evaluate.filter_sweep_study(h_values, seeds, params)
+    cells = evaluate.filter_sweep_study(h_values, seeds, _config(CsbmParams, "sweep", cfg))
     out = _out_dir(cfg)
     _write_tsv(
         out / "sweep.tsv",
@@ -545,8 +501,7 @@ def _cmd_ablate(cfg) -> int:
     _require(cfg, "data", "out")
     g = _load_data(cfg)
     seeds = _parse_list(cfg["seeds"], int)
-    pipeline = _pipeline_config({**cfg, "variant": "full", "svd_dim": 128, "f1_average": "macro"})
-    rows = evaluate.run_ablation_study(g, pipeline, seeds)
+    rows = evaluate.run_ablation_study(g, _pipeline_config("ablate", cfg), seeds)
     out = _out_dir(cfg)
     tsv_rows = [
         (r.variant, r.mean_f1, r.std_f1 if r.std_f1 is not None else float("nan"), *r.per_seed)
@@ -562,9 +517,8 @@ def _cmd_ablate(cfg) -> int:
 
 
 def _cmd_gradcheck(cfg) -> int:
-    tol = float(cfg["tol"])
-    seed = int(cfg["seed"])
-    reports = gradient_check_reports(seed)
+    tol = cfg["tol"]
+    reports = gradient_check_reports(cfg["seed"])
     worst = 0.0
     for name, rep in reports:
         status = "ok" if rep.passed(tol) else "FAIL"

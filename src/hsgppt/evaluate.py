@@ -13,8 +13,8 @@ from .csbm import CsbmParams, generate
 from .graph import Graph, kshot_split, laplacian, svd_reduce, with_features
 from .nn import Adam, LinearLayer, softmax_cross_entropy
 from .pretrain import PretrainConfig, derive_seed, freeze, pretrain
-from .prompt import TuneConfig, make_ablation, predict, tune
-from .spectral import TRIPLE_FILTERS, high_freq_profile, triple_filter_apply
+from .prompt import TuneConfig, predict, tune, variant_configs
+from .spectral import TRIPLE_FILTERS, triple_filter_apply
 
 
 def accuracy(pred, truth, mask) -> float:
@@ -256,16 +256,7 @@ def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> l
     backbones = {}
     rows = []
     for variant in variants:
-        spec = make_ablation(variant)
-        pre_cfg = cfg.pretrain
-        if spec.low_pass_bank:
-            pre_cfg = replace(pre_cfg, filters=((0, pre_cfg.order),))
-        tune_cfg = replace(
-            cfg.tune,
-            shared_prompt=spec.shared_prompt,
-            normalize=spec.normalize,
-            n_prompt=cfg.tune.n_prompt if spec.n_prompt is None else spec.n_prompt,
-        )
+        pre_cfg, tune_cfg = variant_configs(variant, cfg.pretrain, cfg.tune)
         scores = []
         for seed in seeds:
             key = (pre_cfg.filters, seed)
@@ -290,7 +281,7 @@ def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> l
 
 
 # ---------------------------------------------------------------------------
-# filter sweep and mixing-weight case study
+# filter sweep
 # ---------------------------------------------------------------------------
 
 
@@ -361,32 +352,3 @@ def sweep_table(cells) -> dict:
     for c in cells:
         acc.setdefault((c.h, c.filter), []).append(c.test_f1)
     return {k: float(np.mean(v)) for k, v in acc.items()}
-
-
-@dataclass
-class WeightCaseRow:
-    name: str
-    filter_weights: list  # column-averaged softmax mass per filter
-    mean_high_freq_area: float
-
-
-def weight_case_study(entries) -> list:
-    """Column-averaged integration weights next to the graph's frequency mass.
-
-    entries: iterable of (name, PretrainedModel, Graph).
-    """
-    from .nn import softmax_over_filters
-
-    rows = []
-    for name, model, g in entries:
-        a = softmax_over_filters(model.mix.value)
-        weights = a.mean(axis=1)
-        profile = high_freq_profile(g, "normalized")
-        rows.append(
-            WeightCaseRow(
-                name=name,
-                filter_weights=[float(w) for w in weights],
-                mean_high_freq_area=float(np.nanmean(profile)),
-            )
-        )
-    return rows

@@ -58,7 +58,6 @@ class LinearLayer:
             self.alpha = None
         else:
             raise ValueError(f"unknown activation: {activation!r}")
-        self._cache = None
 
     def params(self):
         out = [self.weight, self.bias]
@@ -124,17 +123,6 @@ class LinearLayer:
 
         return out, vjp
 
-    def forward(self, x):
-        out, vjp = self.apply(x)
-        self._cache = vjp
-        return out
-
-    def backward(self, dout):
-        if self._cache is None:
-            raise RuntimeError("backward before forward")
-        vjp, self._cache = self._cache, None
-        return vjp(dout)
-
 
 def softmax_over_filters(w: np.ndarray) -> np.ndarray:
     """Column-wise softmax across the filter axis (axis 0)."""
@@ -182,13 +170,6 @@ class BilinearDiscriminator:
             return dz, ds
 
         return scores, vjp
-
-
-def bilinear_score(z, weight, s) -> float:
-    """sigma(z^T W s) for single vectors."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    s = np.asarray(s, dtype=np.float64).ravel()
-    return float(sigmoid(z @ (np.asarray(weight) @ s)))
 
 
 _CLAMP = 1e-12

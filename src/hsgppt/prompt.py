@@ -62,7 +62,7 @@ from .nn import (
     softmax_over_filters,
     unpack_arrays,
 )
-from .pretrain import FrozenModel, derive_seed
+from .pretrain import FrozenModel, PretrainConfig, derive_seed
 from .spectral import bank_filter_apply, beta_filter_apply
 
 STATE_MAGIC = b"HSGPPRM1"
@@ -116,6 +116,26 @@ def make_ablation(variant: str) -> VariantSpec:
     if variant == "no_prompt_norm":
         return VariantSpec(name=variant, normalize=False)
     raise ValueError(f"unknown ablation variant: {variant!r}")
+
+
+def variant_configs(
+    variant: str, pre: PretrainConfig, tune_cfg: TuneConfig
+) -> tuple[PretrainConfig, TuneConfig]:
+    """The (pre-training, tuning) configs of one ablation variant.
+
+    The full model's configs are the base; a variant flips only its own
+    knobs. low_pass_only acts at pre-training (the bank), the rest at tuning.
+    """
+    spec = make_ablation(variant)
+    if spec.low_pass_bank:
+        pre = replace(pre, filters=((0, pre.order),))
+    tune_cfg = replace(
+        tune_cfg,
+        shared_prompt=spec.shared_prompt,
+        normalize=spec.normalize,
+        n_prompt=tune_cfg.n_prompt if spec.n_prompt is None else spec.n_prompt,
+    )
+    return pre, tune_cfg
 
 
 @dataclass

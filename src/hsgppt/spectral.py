@@ -399,26 +399,6 @@ def energy_identity_check(g: Graph, x: np.ndarray) -> EnergyIdentityReport:
     )
 
 
-def spectral_regression_loss(g_at_eigs, x_hat, y_hat) -> float:
-    """Squared distance between unit-scaled target and filtered spectra.
-
-    sum_i ( y_hat_i / sqrt(N) - g_i x_hat_i / || g x_hat || )^2.
-    Scale-invariant in g by construction.
-    """
-    g_at_eigs = np.asarray(g_at_eigs, dtype=np.float64).ravel()
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
-    if not (g_at_eigs.size == x_hat.size == y_hat.size):
-        raise ValueError("inputs must share length")
-    fx = g_at_eigs * x_hat
-    nrm = math.sqrt(float(fx @ fx))
-    if nrm == 0.0:
-        raise ValueError("filtered signal is identically zero")
-    n = x_hat.size
-    resid = y_hat / math.sqrt(n) - fx / nrm
-    return float(resid @ resid)
-
-
 def response_grid(filters, n_points: int = 201):
     """(lambda grid, response per filter) rows for plotting/TSV export."""
     lam = np.linspace(0.0, 2.0, n_points)

@@ -222,3 +222,65 @@ def test_feature_transform_flag(tmp_path):
                "--feature-transform", "row-normalize") == EXIT_OK
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["feature_transform"] == "row-normalize"
+
+
+def test_eval_low_pass_only_matches_ablate_row(tmp_path):
+    data = gen(tmp_path)
+    small = ("--data", data, "--seeds", "0,1", "--k", 2, "--hidden", 8,
+             "--pretrain-epochs", 3, "--patience", 3, "--tune-epochs", 3,
+             "--eval-every", 3, "--n-prompt", 3)
+    assert run("ablate", "--out", tmp_path / "ab", *small) == EXIT_OK
+    rows = [r.split("\t") for r in (tmp_path / "ab" / "ablation.tsv").read_text().splitlines()]
+    ablate_f1 = {r[0]: [float(x) for x in r[3:]] for r in rows[1:]}
+    reports = {}
+    for variant in ("full", "low_pass_only"):
+        out = tmp_path / variant
+        assert run("eval", "--out", out, "--variant", variant, *small) == EXIT_OK
+        reports[variant] = json.loads((out / "report.json").read_text())
+    for variant, report in reports.items():
+        assert [r["macro_f1"] for r in report["per_seed"]] == ablate_f1[variant], variant
+    assert reports["low_pass_only"]["config_fingerprint"] != reports["full"]["config_fingerprint"]
+
+
+def test_tune_rejects_low_pass_only(tmp_path, capsys):
+    args = ("tune", "--data", tmp_path / "d", "--ckpt", tmp_path / "c", "--out", tmp_path / "o")
+    assert run(*args, "--variant", "low_pass_only") == EXIT_USAGE
+    assert "pretrain --low-pass-only" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"variant": "low_pass_only"}))
+    assert run(*args, "--config", cfg_path) == EXIT_USAGE
+    assert "pretrain --low-pass-only" in capsys.readouterr().err
+
+
+def test_config_values_take_their_key_type(tmp_path, capsys):
+    data = gen(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+
+    def pretrain_with(cfg):
+        cfg_path.write_text(json.dumps(cfg))
+        return run("pretrain", "--data", data, "--out", tmp_path / "pre", "--hidden", 4,
+                   "--epochs", 1, "--patience", 1, "--config", cfg_path)
+
+    for switch, encoders in ((False, 3), (True, 1)):
+        capsys.readouterr()
+        assert pretrain_with({"low_pass_only": switch}) == EXIT_OK
+        assert f"pre-trained {encoders} filter encoder(s)" in capsys.readouterr().out
+    for bad in ({"low_pass_only": "false"}, {"low_pass_only": 0}, {"hidden": 4.0},
+                {"hidden": "4"}, {"lr": True}, {"order": None}, {"data": 1},
+                {"feature_transform": "bogus"}):
+        assert pretrain_with(bad) == EXIT_USAGE, bad
+
+    # a float key takes a JSON integer as the float a flag would give
+    out = tmp_path / "g"
+    cfg_path.write_text(json.dumps({"n": 30, "d": 4, "out": str(out)}))
+    assert run("gen-csbm", "--config", cfg_path) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["d"] == 4.0
+    assert '"d": 4.0' in (out / "config.json").read_text()
+
+
+def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    data = gen(tmp_path)
+    monkeypatch.setenv("HSGPPT_THREADS", "two")
+    assert run("eval", "--data", data, "--out", tmp_path / "ev", "--seeds", "0,1", "--k", 2,
+               "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1) == EXIT_USAGE
+    assert "HSGPPT_THREADS" in capsys.readouterr().err

@@ -18,12 +18,10 @@ from hsgppt.evaluate import (
     split_50_20_30,
     sweep_table,
     train_linear_probe,
-    weight_case_study,
     weighted_f1,
 )
-from hsgppt.pretrain import PretrainConfig, PretrainedModel
+from hsgppt.pretrain import PretrainConfig
 from hsgppt.prompt import TuneConfig
-from hsgppt.spectral import FilterBank
 
 
 def micro_cfg(**kw):
@@ -167,16 +165,6 @@ def test_filter_sweep_cells_and_table():
     table = sweep_table(cells)
     assert set(table) == {(h, f) for h in (0.1, 0.9) for f in ("low", "mid", "high")}
     assert all(0.0 <= v <= 1.0 for v in table.values())
-
-
-def test_weight_case_study_rows():
-    g = generate(CsbmParams(n=30, f=4, d_avg=4.0, h=0.5, mu=2.0, seed=0))
-    model = PretrainedModel(FilterBank.full(2), 4, 8, seed=0)
-    rows = weight_case_study([("demo", model, g)])
-    assert rows[0].name == "demo"
-    assert len(rows[0].filter_weights) == 3
-    assert sum(rows[0].filter_weights) == pytest.approx(1.0)
-    assert np.isfinite(rows[0].mean_high_freq_area)
 
 
 def test_report_text_format():

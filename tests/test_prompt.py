@@ -33,6 +33,7 @@ from hsgppt.prompt import (
     state_hash,
     tune,
     tuning_loss_fn,
+    variant_configs,
 )
 from hsgppt.spectral import FilterBank, beta_filter_apply, eigendecompose, filter_response
 
@@ -423,6 +424,16 @@ def test_ablation_variant_specs():
     assert not make_ablation("no_prompt_norm").normalize
     with pytest.raises(ValueError, match="variant"):
         make_ablation("extra_prompt")
+
+
+def test_variant_configs_flip_only_their_own_knobs():
+    pre, tune_cfg = PretrainConfig(order=3, epochs=7), TuneConfig(n_prompt=4, lr=0.1)
+    configs = {v: variant_configs(v, pre, tune_cfg) for v in ABLATION_VARIANTS}
+    assert configs["full"] == (pre, tune_cfg)
+    assert configs["low_pass_only"] == (PretrainConfig(order=3, epochs=7, filters=((0, 3),)), tune_cfg)
+    assert configs["single_prompt"] == (pre, TuneConfig(n_prompt=4, lr=0.1, shared_prompt=True))
+    assert configs["no_prompt"] == (pre, TuneConfig(n_prompt=0, lr=0.1))
+    assert configs["no_prompt_norm"] == (pre, TuneConfig(n_prompt=4, lr=0.1, normalize=False))
 
 
 def test_default_tau_cross_threshold():

@@ -22,7 +22,6 @@ from hsgppt.spectral import (
     high_freq_profile,
     response_grid,
     spectral_energy,
-    spectral_regression_loss,
     to_spectral,
     triple_filter_apply,
 )
@@ -343,22 +342,6 @@ def test_energy_identity_random_graphs():
             continue
         rep = energy_identity_check(g, g.features[:, 0])
         assert rep.abs_error < 1e-9
-
-
-def test_spectral_regression_loss_scale_invariance_and_zero():
-    rng = np.random.default_rng(5)
-    gvals = rng.random(6) + 0.1
-    xh = rng.standard_normal(6)
-    yh = rng.standard_normal(6)
-    a = spectral_regression_loss(gvals, xh, yh)
-    b = spectral_regression_loss(3.7 * gvals, xh, yh)
-    assert a == pytest.approx(b, rel=1e-12)
-    # perfectly aligned filtered signal drives the loss to zero
-    fx = gvals * xh
-    y_aligned = fx / np.linalg.norm(fx) * math.sqrt(6)
-    assert spectral_regression_loss(gvals, xh, y_aligned) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="zero"):
-        spectral_regression_loss(np.zeros(6), xh, yh)
 
 
 def test_response_grid_shape():
