@@ -252,11 +252,16 @@ def _require(cfg, *keys):
             raise CliUsageError(f"--{key.replace('_', '-')} is required")
 
 
-def _parse_list(text, conv):
+def _nonempty_list(cfg, key, conv):
+    """The comma-separated list under key; an empty one is a usage error."""
+    text = cfg[key]
     try:
-        return [conv(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [conv(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
         raise CliUsageError(f"cannot parse list: {text!r}")
+    if not values:
+        raise CliUsageError(f"at least one {key[:-1].replace('_', ' ')} is required")
+    return values
 
 
 def _fingerprint(cfg: dict) -> str:
@@ -443,9 +448,7 @@ def _pipeline_config(command: str, cfg: dict, variant: str = "full") -> Pipeline
 
 def _cmd_eval(cfg) -> int:
     _require(cfg, "out")
-    seeds = _parse_list(cfg["seeds"], int)
-    if not seeds:
-        raise CliUsageError("at least one seed is required")
+    seeds = _nonempty_list(cfg, "seeds", int)
     pipeline = _pipeline_config("eval", cfg, cfg["variant"])
     t0 = time.perf_counter()
     if cfg["mode"] == "transductive":
@@ -476,8 +479,8 @@ def _cmd_eval(cfg) -> int:
 
 def _cmd_sweep(cfg) -> int:
     _require(cfg, "out")
-    h_values = _parse_list(cfg["h_values"], float)
-    seeds = _parse_list(cfg["seeds"], int)
+    h_values = _nonempty_list(cfg, "h_values", float)
+    seeds = _nonempty_list(cfg, "seeds", int)
     cells = evaluate.filter_sweep_study(h_values, seeds, _config(CsbmParams, "sweep", cfg))
     out = _out_dir(cfg)
     _write_tsv(
@@ -499,8 +502,8 @@ def _cmd_sweep(cfg) -> int:
 
 def _cmd_ablate(cfg) -> int:
     _require(cfg, "data", "out")
+    seeds = _nonempty_list(cfg, "seeds", int)
     g = _load_data(cfg)
-    seeds = _parse_list(cfg["seeds"], int)
     rows = evaluate.run_ablation_study(g, _pipeline_config("ablate", cfg), seeds)
     out = _out_dir(cfg)
     tsv_rows = [

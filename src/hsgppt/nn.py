@@ -151,8 +151,10 @@ class BilinearDiscriminator:
         """Scores for each row of z against the shared summary s.
 
         Returns (scores, vjp); vjp(dpre) takes gradients w.r.t. the
-        PRE-sigmoid values and returns (dz, ds). Working pre-sigmoid keeps
-        the saturated tails exact (d/dpre of -log sigmoid(pre) = score - 1).
+        PRE-sigmoid values and returns (ws, ds), where ws = W s. The gradient
+        w.r.t. z is the rank-one np.outer(dpre, ws), left to the caller to
+        form where it consumes it. Working pre-sigmoid keeps the saturated
+        tails exact (d/dpre of -log sigmoid(pre) = score - 1).
         """
         z = np.asarray(z, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64).ravel()
@@ -165,9 +167,7 @@ class BilinearDiscriminator:
             zbar = z.T @ dpre
             if accumulate:
                 self.weight.grad += np.outer(zbar, s)
-            dz = np.outer(dpre, ws)
-            ds = self.weight.value.T @ zbar
-            return dz, ds
+            return ws, self.weight.value.T @ zbar
 
         return scores, vjp
 

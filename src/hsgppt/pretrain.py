@@ -109,55 +109,61 @@ def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
 
 
 def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
-    """Shared forward (and optional backward) over both corruption branches."""
-    n = filtered_pos[0].shape[0]
-    n_filters = model.bank.size
-    m_pairs = n_filters * n
+    """Loss over both corruption branches; with want_grads, its backward too.
 
-    pos_out, neg_out = [], []
-    for enc, hp, hn in zip(model.encoders, filtered_pos, filtered_neg):
-        pos_out.append(enc.apply(hp, accumulate=want_grads))
-        neg_out.append(enc.apply(hn, accumulate=want_grads))
+    Each n x hidden array lives only while it is read. The positive branch
+    runs first for every filter, since the summary needs all of them; then
+    each filter's negative branch runs forward and backward on its own and
+    is dropped. The discriminator grad and dsummary accumulate in the order
+    p0, n0, p1, n1, ...; each encoder gets its negative term before its
+    positive one, which from zeroed grads is the same sum bit for bit.
+    """
+    n = filtered_pos[0].shape[0]
+    m_pairs = model.bank.size * n
+    disc = model.discriminator
+
+    pos_out = [enc.apply(hp, accumulate=want_grads) for enc, hp in zip(model.encoders, filtered_pos)]
     weights = softmax_over_filters(model.mix.value)
     integrated = np.zeros_like(pos_out[0][0])
     for a_k, (z_k, _) in zip(weights, pos_out):
         integrated += a_k[None, :] * z_k
     summary = integrated.mean(axis=0)
+    del integrated
 
-    score_vjps = []
-    pos_scores, neg_scores = [], []
-    for (zp, _), (zn, _) in zip(pos_out, neg_out):
-        sp_, vjp_p = model.discriminator.apply(zp, summary, accumulate=want_grads)
-        sn_, vjp_n = model.discriminator.apply(zn, summary, accumulate=want_grads)
+    pos_scores, neg_scores, pos_dz = [], [], []
+    dsummary = np.zeros_like(summary)
+    for enc, (zp, _), hn in zip(model.encoders, pos_out, filtered_neg):
+        sp_, vjp_p = disc.apply(zp, summary, accumulate=want_grads)
+        zn, enc_vjp = enc.apply(hn, accumulate=want_grads)
+        sn_, vjp_n = disc.apply(zn, summary, accumulate=want_grads)
         pos_scores.append(sp_)
         neg_scores.append(sn_)
-        score_vjps.append((vjp_p, vjp_n))
+        if want_grads:
+            # d/dpre of -log sigmoid and -log(1 - sigmoid), averaged over pairs
+            dpre = (sp_ - 1.0) / m_pairs
+            ws, ds = vjp_p(dpre)
+            pos_dz.append((dpre, ws))
+            dsummary += ds
+            dpre = sn_ / m_pairs
+            ws, ds = vjp_n(dpre)
+            dsummary += ds
+            # the filtered views are constants: only the parameter grads are needed
+            enc_vjp(np.outer(dpre, ws), project=False)
+        # before the next filter's branch is formed, not after
+        del zn, enc_vjp, vjp_p, vjp_n
     loss = bce_pair_loss(np.concatenate(pos_scores), np.concatenate(neg_scores))
     if not want_grads:
         return loss
 
-    dsummary = np.zeros_like(summary)
-    dz_pos = [None] * n_filters
-    dz_neg = [None] * n_filters
-    for i, ((vjp_p, vjp_n), sp_, sn_) in enumerate(zip(score_vjps, pos_scores, neg_scores)):
-        # d/dpre of -log sigmoid and -log(1 - sigmoid), averaged over pairs
-        dz, ds = vjp_p((sp_ - 1.0) / m_pairs)
-        dz_pos[i] = dz
-        dsummary += ds
-        dz, ds = vjp_n(sn_ / m_pairs)
-        dz_neg[i] = dz
-        dsummary += ds
-
-    dintegrated = np.broadcast_to(dsummary / n, integrated.shape)
+    dintegrated = np.broadcast_to(dsummary / n, (n, summary.size))
     dweights = np.empty_like(weights)
     for i, (z_k, _) in enumerate(pos_out):
         dweights[i] = np.einsum("ij,ij->j", dintegrated, z_k)
-        dz_pos[i] = dz_pos[i] + weights[i][None, :] * dintegrated
     model.mix.grad += softmax_over_filters_vjp(weights, dweights)
-    # the filtered views are constants: only the parameter grads are needed
-    for (_, vjp_p), (_, vjp_n), dp, dn in zip(pos_out, neg_out, dz_pos, dz_neg):
-        vjp_p(dp, project=False)
-        vjp_n(dn, project=False)
+    for i, (dpre, ws) in enumerate(pos_dz):
+        enc_vjp = pos_out[i][1]
+        pos_out[i] = None
+        enc_vjp(np.outer(dpre, ws) + weights[i][None, :] * dintegrated, project=False)
     return loss
 
 
@@ -200,11 +206,11 @@ def pretrain(g: Graph, cfg: PretrainConfig):
     best_epoch = -1
     best_state = None
     for epoch in range(cfg.epochs):
-        corrupted = corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch))
-        neg = filtered_views(L, bank, corrupted)
+        neg = filtered_views(L, bank, corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch)))
         for p in model.params():
             p.zero_grad()
         loss = _forward_scores(model, pos, neg, want_grads=True)
+        del neg  # before the next epoch's views are formed
         if not np.isfinite(loss):
             raise NumericError(f"non-finite pre-training loss at epoch {epoch}")
         history.append(float(loss))

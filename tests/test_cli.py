@@ -189,6 +189,22 @@ def test_usage_errors():
     assert run("gen-csbm", "--n", "notanumber", "--out", "x") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, flag, noun, written", [
+    ("eval", "--seeds", "seed", "report.json"),
+    ("sweep", "--seeds", "seed", "sweep.tsv"),
+    ("sweep", "--h-values", "h value", "sweep.tsv"),
+    ("ablate", "--seeds", "seed", "ablation.tsv"),
+])
+def test_empty_list_is_usage_error(tmp_path, capsys, command, flag, noun, written):
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    args = ("--out", out, flag, "", "--n", 40, "--f", 6, "--d", 5.0) if command == "sweep" else (
+        "--data", data, "--out", out, flag, "", "--k", 2, "--hidden", 8, "--pretrain-epochs", 1)
+    assert run(command, *args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: at least one {noun} is required\n"
+    assert not (out / written).exists()
+
+
 def test_missing_data_is_data_error(tmp_path):
     assert run("analyze", "--data", tmp_path / "nope", "--out", tmp_path / "o") == EXIT_DATA
 

@@ -236,9 +236,10 @@ def test_discriminator_vjp_matches_finite_difference():
 
     disc.weight.zero_grad()
     _, vjp = disc.apply(z, s)
-    dz, ds = vjp(dpre)
+    ws, ds = vjp(dpre)
     assert np.allclose(disc.weight.grad, central_diff(scalar_loss, disc.weight.value), atol=1e-6)
-    assert np.allclose(dz, central_diff(scalar_loss, z), atol=1e-6)
+    # dz is the rank-one outer(dpre, ws), formed by the caller
+    assert np.allclose(np.outer(dpre, ws), central_diff(scalar_loss, z), atol=1e-6)
     assert np.allclose(ds, central_diff(scalar_loss, s), atol=1e-6)
 
 

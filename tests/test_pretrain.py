@@ -1,6 +1,7 @@
 """Contrastive pre-training: loss oracle, loop behavior, persistence."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,11 +125,11 @@ def reference_forward_scores(model, filtered_pos, filtered_neg, want_grads):
     dz_pos = [None] * n_filters
     dz_neg = [None] * n_filters
     for i, ((vjp_p, vjp_n), sp_, sn_) in enumerate(zip(score_vjps, pos_scores, neg_scores)):
-        dz, ds = vjp_p((sp_ - 1.0) / m_pairs)
-        dz_pos[i] = dz
+        ws, ds = vjp_p((sp_ - 1.0) / m_pairs)
+        dz_pos[i] = np.outer((sp_ - 1.0) / m_pairs, ws)
         dsummary += ds
-        dz, ds = vjp_n(sn_ / m_pairs)
-        dz_neg[i] = dz
+        ws, ds = vjp_n(sn_ / m_pairs)
+        dz_neg[i] = np.outer(sn_ / m_pairs, ws)
         dsummary += ds
 
     dintegrated = np.broadcast_to(dsummary / n, integrated.shape)
@@ -187,6 +188,24 @@ def test_pretrain_on_benchmark_graphs_matches_pinned_bits(benchmark_graph):
     want_hash, want_hist = PINNED_PRETRAIN[g.name]
     assert [x.hex() for x in hist] == want_hist
     assert content_hash(model) == want_hash
+
+
+def test_pretrain_traced_peak_holds_one_negative_branch():
+    # bound: the 2C filtered views (positive and negative), the positive
+    # branch's 2C activations (pre- and post-PReLU), and ten more n x hidden
+    # arrays for one negative branch, its gradients and L. Keeping every
+    # branch and gradient alive at once needs ~18 more.
+    n, f, hidden, order = 2000, 32, 64, 2
+    g = generate(CsbmParams(n=n, f=f, d_avg=20.0, h=0.7, mu=4.0, seed=1))
+    n_filters = order + 1
+    bound = 8 * (2 * n_filters * n * f + (2 * n_filters + 10) * n * hidden)
+    tracemalloc.start()
+    try:
+        pretrain(g, PretrainConfig(order=order, hidden_dim=hidden, epochs=3, patience=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"traced peak {peak} B over the {bound} B bound"
 
 
 def test_untrained_loss_near_two_log_two():
