@@ -149,7 +149,7 @@ def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
             dsummary += ds
             # the filtered views are constants: only the parameter grads are needed
             enc_vjp(np.outer(dpre, ws), project=False)
-        # before the next filter's branch is formed, not after
+        # drop this branch before the next filter's is formed
         del zn, enc_vjp, vjp_p, vjp_n
     loss = bce_pair_loss(np.concatenate(pos_scores), np.concatenate(neg_scores))
     if not want_grads:
