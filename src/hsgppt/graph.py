@@ -278,6 +278,21 @@ def _require(path: Path):
     return path
 
 
+def _read_text(path: Path) -> str:
+    """The file decoded as UTF-8; a byte that is not UTF-8 is a malformed line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = io.StringIO(raw[: e.start].decode("utf-8"), newline=None).read()
+        raise MalformedLineError("not UTF-8 text", path=path, line=before.count("\n") + 1)
+
+
+def _lines(path: Path):
+    """The file's lines as text mode reads them (universal newlines)."""
+    return io.StringIO(_read_text(path), newline=None)
+
+
 def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
     raw = path.read_bytes()
     if len(raw) < 16:
@@ -297,24 +312,22 @@ def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
 
 
 def _read_features_tsv(path: Path, n: int, d: int) -> np.ndarray:
-    out = np.empty((n, d), dtype=np.float64)
-    with path.open() as fh:
-        i = -1
-        for i, line in enumerate(fh):
-            parts = line.split()
-            if i >= n:
-                raise ShapeMismatchError(f"more than {n} feature rows", path=path, line=i + 1)
-            if len(parts) != d:
-                raise MalformedLineError(
-                    f"expected {d} values, found {len(parts)}", path=path, line=i + 1
-                )
-            try:
-                out[i] = [float(p) for p in parts]
-            except ValueError:
-                raise MalformedLineError("non-numeric feature value", path=path, line=i + 1)
-        if i + 1 != n:
-            raise ShapeMismatchError(f"expected {n} feature rows, found {i + 1}", path=path)
-    return out
+    rows = []  # sized by the file, so a huge n_nodes or feature_dim allocates nothing
+    for i, line in enumerate(_lines(path)):
+        parts = line.split()
+        if i >= n:
+            raise ShapeMismatchError(f"more than {n} feature rows", path=path, line=i + 1)
+        if len(parts) != d:
+            raise MalformedLineError(
+                f"expected {d} values, found {len(parts)}", path=path, line=i + 1
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise MalformedLineError("non-numeric feature value", path=path, line=i + 1)
+    if len(rows) != n:
+        raise ShapeMismatchError(f"expected {n} feature rows, found {len(rows)}", path=path)
+    return np.array(rows, dtype=np.float64).reshape(n, d)
 
 
 def _read_edges(path: Path, n: int):
@@ -349,7 +362,7 @@ def _read_edges(path: Path, n: int):
 def _read_edges_by_line(path: Path, n: int):
     us, vs = [], []
     dropped = 0
-    with path.open() as fh:
+    with _lines(path) as fh:
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
@@ -395,7 +408,7 @@ def _first_occurrences(edges, n):
 
 def _read_labels(path: Path, n: int, n_classes: int):
     tokens = []
-    with path.open() as fh:
+    with _lines(path) as fh:
         for i, line in enumerate(fh):
             tok = line.strip()
             if not tok:
@@ -417,14 +430,14 @@ def _read_labels(path: Path, n: int, n_classes: int):
             numeric = False
             break
     if numeric:
-        labels = np.asarray(ints, dtype=np.int64)
-        bad = np.flatnonzero((labels < -1) | (labels >= n_classes))
-        if bad.size:
-            lineno, tok = tokens[bad[0]]
+        # checked as Python ints: a label past int64 is out of range, not an overflow
+        bad = next((i for i, y in enumerate(ints) if not -1 <= y < n_classes), None)
+        if bad is not None:
+            lineno, tok = tokens[bad]
             raise LabelRangeError(
                 f"label {tok} outside [0, {n_classes})", path=path, line=lineno
             )
-        return labels
+        return np.asarray(ints, dtype=np.int64)
     # string class names: remap sorted distinct names to dense ids
     names = sorted({tok for _, tok in tokens if tok != "-1"})
     if len(names) > n_classes:
@@ -435,6 +448,16 @@ def _read_labels(path: Path, n: int, n_classes: int):
     return np.asarray(
         [-1 if tok == "-1" else lut[tok] for _, tok in tokens], dtype=np.int64
     )
+
+
+def _meta_count(meta: dict, key: str, path: Path) -> int:
+    value = meta[key]
+    # bool is an int subclass; a float or a numeric string is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedLineError(f"{key} must be an integer, found {value!r}", path=path)
+    if value < 0:
+        raise MalformedLineError(f"{key} must be >= 0, found {value}", path=path)
+    return value
 
 
 def load_graph(path) -> Graph:
@@ -449,15 +472,17 @@ def load_graph(path) -> Graph:
         raise MissingFileError("dataset directory not found", path=root)
     meta_path = _require(root / _META)
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as e:
         raise MalformedLineError(f"invalid JSON: {e}", path=meta_path)
+    if not isinstance(meta, dict):
+        raise MalformedLineError("meta.json must hold a JSON object", path=meta_path)
     for key in ("n_nodes", "feature_dim", "n_classes", "name"):
         if key not in meta:
             raise MalformedLineError(f"meta.json missing key {key!r}", path=meta_path)
-    n = int(meta["n_nodes"])
-    d = int(meta["feature_dim"])
-    n_classes = int(meta["n_classes"])
+    n, d, n_classes = (
+        _meta_count(meta, key, meta_path) for key in ("n_nodes", "feature_dim", "n_classes")
+    )
 
     features_path = root / _FEATURES_BIN
     if features_path.is_file():

@@ -28,8 +28,8 @@ from .nn import (
     softmax_over_filters_vjp,
     unpack_arrays,
 )
-# beta_filter_apply stays bound here for callers that look up or wrap the
-# per-kernel ladder through this module (bench/tracing.py does)
+# beta_filter_apply (one kernel through the bank engine) stays bound here for
+# callers that look it up or wrap it through this module (bench/tracing.py does)
 from .spectral import FilterBank, bank_filter_apply, beta_filter_apply  # noqa: F401
 
 CHECKPOINT_MAGIC = b"HSGPNET1"

@@ -6,18 +6,22 @@ The bank of order C holds the C+1 kernels
     k + r = C,
 
 over the normalized-Laplacian spectrum [0, 2]. g_{0,C} is the low-pass end,
-g_{C,0} the high-pass end, interior members are band-pass. A bank is
-applied by walking the (I - L/2)^j ladder once and branching off each kernel
-where its r steps end, which takes C(C+1)/2 sparse matrix products for a full
-bank of order C (each kernel on its own would take k+r, C(C+1) in all); the
-Laplacian is never densified. Given `rows`, the same walk computes only the
-rows of the outputs asked for: each step runs on the ball of rows that the
-steps after it read (see bank_filter_apply).
+g_{C,0} the high-pass end, interior members are band-pass. Every kernel is a
+combination of the powers T_j = (L/2)^j x, so a bank is applied as one power
+series: C sparse matrix products form T_1..T_C, and a forward-difference
+table, D_{k,0} = T_k and D_{k,r} = D_{k,r-1} - D_{k+1,r-1}, gives each
+output as c_{k,r} D_{k,r} with no binomial coefficients. The Laplacian is
+never densified. Given `rows`, the same walk computes only the rows of the
+outputs asked for: T_j is formed on the ball N^{C-j}[rows] that the products
+after it read, and the table on the rows themselves. The table subtracts
+nearly equal terms, so its error grows with the order (see
+bank_filter_apply).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,146 +115,108 @@ class FilterBank:
 
 
 def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list:
-    """[g_{k,r}(L) x for (k, r) in filters], sharing the ladder prefixes.
+    """[g_{k,r}(L) x for (k, r) in filters], from one power series.
 
-    Rung j of the ladder is (I - L/2)^j x, shared by every kernel with
-    r >= j. The one step (L/2) rung_j feeds both rung j+1 and the first L/2
-    step of each kernel with r = j, so a full bank of order C takes
-    C(C+1)/2 sparse matmuls. Each output is the same operations in the same
-    order as running its kernel alone, so it is equal bit for bit. x may be
-    a vector or a matrix; filters may be in any order.
+    With T_j = (L/2)^j x and D_{k,r} = (L/2)^k (I - L/2)^r x, the table
+    D_{k,0} = T_k, D_{k,r} = D_{k,r-1} - D_{k+1,r-1} gives every kernel as
+    g_{k,r}(L) x = c_{k,r} D_{k,r}. The walk forms T_1..T_C, C the largest
+    k+r, with one sparse product each, so a full bank of order C takes C
+    products and one kernel alone takes its k+r. After each T_j it forms the
+    table entries of degree j that some output reads, and drops each T_j
+    and entry once nothing reads it. An output is the same operations on the
+    same values whichever other kernels are asked for, so it equals its
+    kernel run alone bit for bit. x may be a vector or a matrix; filters may
+    be in any order, and the input is never written to.
+
+    The table subtracts nearly equal terms, so accuracy falls with the
+    order. Against an eigenbasis oracle (n=400), the error relative to the
+    outputs' scale is ~2e-15 at order 2, ~1e-14 at order 6 and ~5e-13 at
+    order 10 (a per-kernel (I - L/2)^j ladder, kept in the tests as an
+    oracle, stays near 5e-15 but takes C(C+1)/2 products for a full bank).
 
     rows (node indices, any order, repeats allowed) asks for those rows of
     every output only: out[i] equals the full output's [rows], bit for bit.
-    A step that d more products turn into an output is needed only on the
-    ball N^d[rows] of L's sparsity pattern, so each product runs with
-    L[N^d[rows]]. L must then be a scipy sparse matrix, and only its rows in
-    N^{C-1}[rows] are read (C the largest k+r), so a caller may pass a matrix
-    that holds just those rows.
+    With B_d = N^d[rows] the balls of L's sparsity pattern, T_j is needed
+    only on B_{C-j}, so each product runs with L[B_{C-j}], its columns
+    renumbered into B_{C-j+1}, and the table is formed on B_0. L must then
+    be a scipy sparse matrix, and only its rows in N^{C-1}[rows] are read, so
+    a caller may pass a matrix that holds just those rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if L.shape[1] != x.shape[0]:
         raise ValueError(f"L is {L.shape}, signal has {x.shape[0]} rows")
-    filters = list(filters)
+    filters = [(k, r) for k, r in filters]
     consts = [beta_constant(k, r) for k, r in filters]  # validates k, r >= 0
-    if rows is not None:
-        return _bank_rows(L.tocsr(), filters, consts, x, rows)
-    out = [None] * len(filters)
-    top = max((r for _, r in filters), default=-1)
-    rung = x
+    top = max((k + r for k, r in filters), default=-1)
+    if rows is None:
+        steps, picks, order = [L] * top, [None] * (top + 1), None
+    else:
+        steps, picks, order = _row_steps(L.tocsr(), rows, top)
+
+    # needed: the table entries with r >= 1 that some output is formed from;
+    # reads[e]: how many outputs and needed entries still read entry e
+    reads = Counter(filters)
+    needed = {(a, b) for k, r in filters for b in range(1, r + 1) for a in range(k, k + r - b + 1)}
+    for a, b in needed:
+        reads[a, b - 1] += 1
+        reads[a + 1, b - 1] += 1
+    table = {}
+
+    def take(e):
+        """Entry e, and whether this read may overwrite it (the last one, not x)."""
+        reads[e] -= 1
+        if reads[e]:
+            return table[e], False
+        y = table.pop(e)
+        return y, y is not x
+
+    t = x
     for j in range(top + 1):
-        here = [i for i, (_, r) in enumerate(filters) if r == j]
-        half = None
-        if j < top or any(filters[i][0] for i in here):
-            half = L @ rung
-            half *= 0.5
-        for i in here:
-            y = half if filters[i][0] else rung
-            for _ in range(filters[i][0] - 1):
-                y = L @ y
-                y *= 0.5
-            out[i] = consts[i] * y
-        if j < top:
-            if j == 0:
-                rung = rung - half  # rung 0 is the caller's x
-            else:
-                rung -= half
+        if j:
+            t = steps[j - 1] @ t
+            t *= 0.5
+        if (j, 0) in reads:
+            table[j, 0] = t if picks[j] is None else t[picks[j]]
+        for b in range(1, j + 1):
+            if (j - b, b) in reads:
+                y, own = take((j - b, b - 1))
+                z, _ = take((j - b + 1, b - 1))
+                table[j - b, b] = np.subtract(y, z, out=y if own else None)
+    out = []
+    for c, key in zip(consts, filters):
+        y, own = take(key)
+        out.append(np.multiply(y, c, out=y if own else None))
+    if order is not None:
+        out = [y[order] for y in out]
     return out
 
 
-def _bank_rows(L: sp.csr_matrix, filters, consts, x: np.ndarray, rows) -> list:
-    """bank_filter_apply's walk, each step on the rows its consumers read.
+def _row_steps(L: sp.csr_matrix, rows, top: int):
+    """The row path's products, the rows of B_0 within each T_j, and the
+    gather from B_0 to the requested rows (None when they are B_0).
 
-    A backward pass tags every rung and chain step with its depth d, the
-    number of products between it and an output; a value of depth d is
-    formed on the ball B_d = N^d[rows] (B_0 = the sorted rows, B_{d+1} the
-    columns of L[B_d]), which holds every row a product at depth d-1 reads.
-    The forward pass is the full walk's, with each product taken as
-    L[B_d] @ y and each elementwise step on the rows of its own ball.
+    B_0 is the sorted distinct rows and B_{d+1} adds the columns of L[B_d].
+    The product that forms T_j is L[B_{top-j}], its columns renumbered into
+    B_{top-j+1}; T_1 reads x on every row, so its block keeps L's columns.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if rows.size and (rows.min() < 0 or rows.max() >= L.shape[0]):
         raise ValueError(f"rows must lie in [0, {L.shape[0]})")
-    top = max((r for _, r in filters), default=-1)
-    # depth of rung j and of half_j = (L/2) rung_j; -1 where nothing reads it
-    d_rung = [-1] * (top + 2)
-    d_half = [-1] * (top + 1)
-    for j in range(top, -1, -1):
-        ks = [k for k, r in filters if r == j]
-        d_half[j] = max([k - 1 for k in ks if k] + [d_rung[j + 1]])
-        d_rung[j] = max([0 for k in ks if not k] + [d_rung[j + 1]])
-        if d_half[j] >= 0:
-            d_rung[j] = max(d_rung[j], d_half[j] + 1)
-
-    walk = _RowBalls(L, rows)
-    out = [None] * len(filters)
-    rung = (x, None)
-    for j in range(top + 1):
-        here = [i for i, (_, r) in enumerate(filters) if r == j]
-        half = walk.half_step(rung, d_half[j]) if d_half[j] >= 0 else None
-        for i in here:
-            k = filters[i][0]
-            y = half if k else rung
-            for t in range(k - 1):
-                y = walk.half_step(y, k - 2 - t)
-            out[i] = consts[i] * walk.take(y, 0)
-        if j < top:
-            d = d_rung[j + 1]
-            rung = (walk.take(rung, d) - walk.take(half, d), d)
-    if not np.array_equal(rows, walk.ball(0)):
-        at = np.searchsorted(walk.ball(0), rows)
-        out = [y[at] for y in out]
-    return out
-
-
-class _RowBalls:
-    """The balls B_d = N^d[rows] of L's sparsity pattern, L's rows on them,
-    and the two steps of the walk on values kept on a ball.
-
-    A value is (array, depth): its rows are B_depth, or every row of the
-    signal for depth None.
-    """
-
-    def __init__(self, L: sp.csr_matrix, rows):
-        self.L = L
-        self.balls = [np.unique(rows)]
-        self.blocks = []  # L[B_d]
-        self.renumbered = {}  # (d, e) -> L[B_d], columns numbered within B_e
-
-    def ball(self, d):
-        while len(self.balls) <= d:
-            self.balls.append(np.union1d(self.balls[-1], self.block(len(self.balls) - 1).indices))
-        return self.balls[d]
-
-    def block(self, d):
-        while len(self.blocks) <= d:
-            self.blocks.append(self.L[self.ball(len(self.blocks))])
-        return self.blocks[d]
-
-    def take(self, v, d):
-        """v on the rows of B_d."""
-        a, e = v
-        if e == d:
-            return a
-        if e is None:
-            return a[self.ball(d)]
-        return a[np.searchsorted(self.ball(e), self.ball(d))]
-
-    def half_step(self, v, d):
-        """(L/2) v on the rows of B_d; v must be known on B_{d+1}."""
-        a, e = v
-        m = self.block(d)
-        if e is not None:
-            if (d, e) not in self.renumbered:
-                place = np.full(self.L.shape[1], -1, dtype=np.int64)
-                place[self.ball(e)] = np.arange(self.ball(e).size)
-                self.renumbered[d, e] = sp.csr_matrix(
-                    (m.data, place[m.indices], m.indptr), shape=(m.shape[0], self.ball(e).size)
-                )
-            m = self.renumbered[d, e]
-        y = m @ a
-        y *= 0.5
-        return y, d
+    balls = [np.unique(rows)]
+    steps = []
+    for d in range(top):
+        m = L[balls[d]]
+        if d + 1 < top:
+            balls.append(np.union1d(balls[d], m.indices))
+            cols = np.searchsorted(balls[d + 1], m.indices)
+            m = sp.csr_matrix((m.data, cols, m.indptr), shape=(m.shape[0], balls[d + 1].size))
+        steps.append(m)
+    steps.reverse()
+    picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
+    if top > 0:
+        picks.append(None)
+    order = None if np.array_equal(rows, balls[0]) else np.searchsorted(balls[0], rows)
+    return steps, picks, order
 
 
 def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:

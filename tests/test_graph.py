@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsgppt.cli import EXIT_DATA, main
 from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import (
     DatasetError,
@@ -341,6 +342,81 @@ def test_non_finite_tsv_feature_names_features_tsv(tmp_path):
     with pytest.raises(MalformedLineError, match="non-finite") as info:
         load_graph(ds)
     assert info.value.path == ds / "features.tsv"
+
+
+BAD_BYTE = b"\xff"  # never valid UTF-8
+
+
+def _set_meta(ds, **changes):
+    meta = json.loads((ds / "meta.json").read_text())
+    meta.update(changes)
+    (ds / "meta.json").write_text(json.dumps(meta))
+
+
+def _append_bad_byte(name, line):
+    def damage(ds):
+        text = (ds / name).read_bytes().splitlines(keepends=True)
+        text[line - 1] = text[line - 1][:1] + BAD_BYTE + text[line - 1][1:]
+        (ds / name).write_bytes(b"".join(text))
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, error, name, line, message",
+    [
+        (lambda ds: (ds / "meta.json").write_bytes(BAD_BYTE + b"{}"), MalformedLineError,
+         "meta.json", 1, "not UTF-8"),
+        (_append_bad_byte("features.tsv", 2), MalformedLineError, "features.tsv", 2, "not UTF-8"),
+        (_append_bad_byte("labels.tsv", 3), MalformedLineError, "labels.tsv", 3, "not UTF-8"),
+        (_append_bad_byte("edges.tsv", 2), MalformedLineError, "edges.tsv", 2, "not UTF-8"),
+        (lambda ds: _set_meta(ds, n_nodes="abc"), MalformedLineError, "meta.json", None,
+         "n_nodes must be an integer"),
+        (lambda ds: _set_meta(ds, feature_dim=[3]), MalformedLineError, "meta.json", None,
+         "feature_dim must be an integer"),
+        (lambda ds: _set_meta(ds, n_nodes=3.5), MalformedLineError, "meta.json", None,
+         "n_nodes must be an integer"),
+        (lambda ds: _set_meta(ds, n_classes=True), MalformedLineError, "meta.json", None,
+         "n_classes must be an integer"),
+        (lambda ds: _set_meta(ds, n_classes=-2), MalformedLineError, "meta.json", None,
+         "n_classes must be >= 0"),
+        (lambda ds: (ds / "meta.json").write_text("[1, 2]"), MalformedLineError, "meta.json",
+         None, "JSON object"),
+        (lambda ds: _set_meta(ds, n_nodes=10**15), ShapeMismatchError, "features.tsv", None,
+         "expected 1000000000000000 feature rows, found 3"),
+        (lambda ds: (ds / "labels.tsv").write_text("0\n99999999999999999999\n1\n"),
+         LabelRangeError, "labels.tsv", 2, "outside"),
+    ],
+    ids=["meta-utf8", "features-utf8", "labels-utf8", "edges-utf8", "n-nodes-text",
+         "feature-dim-list", "n-nodes-float", "n-classes-bool", "n-classes-negative", "meta-list",
+         "n-nodes-huge", "label-past-int64"],
+)
+def test_malformed_dataset_text_is_a_typed_data_error(tmp_path, capsys, damage, error, name, line,
+                                                      message):
+    ds = make_tsv_dataset(tmp_path / "ds")
+    damage(ds)
+    with pytest.raises(error, match=message) as info:
+        load_graph(ds)
+    assert info.value.path == ds / name
+    assert info.value.line == line
+    # the CLI reports it as a data error, exit 2
+    assert main(["analyze", "--data", str(ds), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@given(name=st.sampled_from(["labels.tsv", "features.tsv"]),
+       content=st.one_of(st.binary(max_size=64),
+                         st.text(st.sampled_from("0123456789-.e \t\n\r\xffab\u0967"),
+                                 max_size=40).map(lambda t: t.encode("utf-8", "surrogateescape"))))
+def test_arbitrary_bytes_in_a_text_file_load_or_raise_dataset_error(name, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = make_tsv_dataset(Path(tmp) / "ds")
+        (ds / name).write_bytes(content)
+        try:
+            g = load_graph(ds)
+        except DatasetError:
+            return
+        assert g.n_nodes == 3 and g.features.shape == (3, 2)
 
 
 def test_generated_graph_round_trips(tmp_path):

@@ -167,15 +167,17 @@ def test_loss_and_grads_equal_the_reference_bit_for_bit(bank):
 
 
 # content_hash and loss history (float.hex) of pretrain(order 2, hidden 64,
-# 3 epochs, seed 0) on each benchmark graph, recorded before pre-training's
-# forward/backward was reordered to keep one negative branch alive at a time
+# 3 epochs, seed 0) on each benchmark graph. Recorded again when the filter
+# bank moved from the Bernstein ladder to one power series with a difference
+# table: the filtered views moved by ~1e-15, which changed both hashes; the
+# loss histories did not move.
 PINNED_PRETRAIN = {
     "csbm_n5000_h0.2_seed0": (
-        "c33d1dfc9dccdf643a57c18a44c50651e60eccb1566e706ad7d9a9c037a1b5d5",
+        "ad519edb4245f905d92e6e12c5b4288e86e0844bac78452dd8a708ef84ca0ab4",
         ["0x1.62e44a4bbf497p+0", "0x1.62e3d956027e5p+0", "0x1.62e37ce5b2518p+0"],
     ),
     "csbm_n5000_h0.8_seed0": (
-        "44e02638cb44b92694b369299384e5b2592acde8c771ea86cd4524c966f859ae",
+        "2f66fa64572669b6f84c3e9804fcf6a42615125b1ae2f399afaf928b7c8d295c",
         ["0x1.62e4883abe9dbp+0", "0x1.62e3ec23c1f5fp+0", "0x1.62e40618eea60p+0"],
     ),
 }
