@@ -46,7 +46,7 @@ from .pretrain import (
     pretrain,
     save_model,
 )
-from .prompt import TuneConfig, make_ablation, tuning_loss_fn, variant_configs
+from .prompt import TuneConfig, tuning_loss_fn, variant_configs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,7 +118,7 @@ _CSBM_SIZE = (
     _field("n", CsbmParams), _field("f", CsbmParams, help="feature dimension"),
     _field("d", CsbmParams, "d_avg", help="expected average degree"),
 )
-_TUNING_VARIANTS = tuple(v for v in prompt.ABLATION_VARIANTS if not make_ablation(v).low_pass_bank)
+_TUNING_VARIANTS = tuple(v for v, (low_pass, _) in prompt.ABLATION_VARIANTS.items() if not low_pass)
 
 # command -> (help, config keys in flag order); eval and ablate share one
 # pre-training and one tuning group
@@ -152,7 +152,7 @@ _TABLE = {
         _field("svd_dim", PipelineConfig, help="inductive mode only"),
         _Key("workers", int, 0, help="0 = HSGPPT_THREADS or 1"),
         _field("f1_average", PipelineConfig, choices=("macro", "weighted")),
-        _FEATURE_TRANSFORM, _Key("variant", default="full", choices=prompt.ABLATION_VARIANTS),
+        _FEATURE_TRANSFORM, _Key("variant", default="full", choices=tuple(prompt.ABLATION_VARIANTS)),
     )),
     "sweep": ("reference-filter sweep over homophily levels", (
         _OUT, _Key("h_values", default="0.0,0.2,0.4,0.6,0.8,1.0", help="comma-separated list"),
@@ -427,6 +427,11 @@ def _cmd_tune(cfg) -> int:
     if not ckpt.is_file():
         raise DatasetError("checkpoint not found", path=ckpt)
     frozen = freeze(load_model(ckpt))
+    if frozen.model.feature_dim != g.feature_dim:
+        raise DatasetError(
+            f"checkpoint takes {frozen.model.feature_dim} features, "
+            f"the dataset has {g.feature_dim}", path=ckpt,
+        )
     out = _out_dir(cfg)
     _, tune_cfg = variant_configs(cfg["variant"], PretrainConfig(), _config(TuneConfig, "tune", cfg))
     split = kshot_split(g, cfg["k"], seed=cfg["seed"])

@@ -13,7 +13,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,23 +117,6 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric binary adjacency in CSR form."""
-        n = self.n_nodes
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.ones(rows.size, dtype=np.float64)
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.float64)
-        np.add.at(deg, self.edges[:, 0], 1.0)
-        np.add.at(deg, self.edges[:, 1], 1.0)
-        return _locked(deg)
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
@@ -149,10 +131,6 @@ class DatasetSplit:
     val_indices: np.ndarray
     test_indices: np.ndarray
     seed: int
-
-    @property
-    def train_indices(self) -> np.ndarray:
-        return np.sort(np.concatenate(self.shot_indices))
 
 
 def laplacian_from_edges(edges, n, kind="normalized") -> sp.csr_matrix:
@@ -303,12 +281,13 @@ def _read_features_bin(path: Path, n: int, d: int) -> np.ndarray:
         raise ShapeMismatchError(
             f"header says {fn}x{fd}, meta.json says {n}x{d}", path=path
         )
-    data = np.frombuffer(raw[16:], dtype="<f8")
-    if data.size != n * d:
+    payload = len(raw) - 16
+    if payload != 8 * n * d:
         raise ShapeMismatchError(
-            f"expected {n * d} float64 values, found {data.size}", path=path
+            f"expected {n * d} float64 values ({8 * n * d} bytes), found {payload} bytes",
+            path=path,
         )
-    return data.reshape(n, d).astype(np.float64)
+    return np.frombuffer(raw[16:], dtype="<f8").reshape(n, d).astype(np.float64)
 
 
 def _read_features_tsv(path: Path, n: int, d: int) -> np.ndarray:

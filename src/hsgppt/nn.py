@@ -147,14 +147,15 @@ class BilinearDiscriminator:
     def params(self):
         return [self.weight]
 
-    def apply(self, z, s, accumulate=True):
+    def apply(self, z, s):
         """Scores for each row of z against the shared summary s.
 
         Returns (scores, vjp); vjp(dpre) takes gradients w.r.t. the
-        PRE-sigmoid values and returns (ws, ds), where ws = W s. The gradient
-        w.r.t. z is the rank-one np.outer(dpre, ws), left to the caller to
-        form where it consumes it. Working pre-sigmoid keeps the saturated
-        tails exact (d/dpre of -log sigmoid(pre) = score - 1).
+        PRE-sigmoid values, accumulates the weight's grad and returns
+        (ws, ds), where ws = W s. The gradient w.r.t. z is the rank-one
+        np.outer(dpre, ws), left to the caller to form where it consumes it.
+        Working pre-sigmoid keeps the saturated tails exact (d/dpre of
+        -log sigmoid(pre) = score - 1).
         """
         z = np.asarray(z, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64).ravel()
@@ -165,8 +166,7 @@ class BilinearDiscriminator:
         def vjp(dpre):
             dpre = np.asarray(dpre, dtype=np.float64)
             zbar = z.T @ dpre
-            if accumulate:
-                self.weight.grad += np.outer(zbar, s)
+            self.weight.grad += np.outer(zbar, s)
             return ws, self.weight.value.T @ zbar
 
         return scores, vjp

@@ -108,8 +108,8 @@ def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
     return Encoded(per_filter=per_filter, integrated=integrated, summary=integrated.mean(axis=0))
 
 
-def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
-    """Loss over both corruption branches; with want_grads, its backward too.
+def _forward_scores(model, filtered_pos, filtered_neg):
+    """Loss over both corruption branches; its backward accumulates the grads.
 
     Each n x hidden array lives only while it is read. The positive branch
     runs first for every filter, since the summary needs all of them; then
@@ -122,7 +122,7 @@ def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
     m_pairs = model.bank.size * n
     disc = model.discriminator
 
-    pos_out = [enc.apply(hp, accumulate=want_grads) for enc, hp in zip(model.encoders, filtered_pos)]
+    pos_out = [enc.apply(hp) for enc, hp in zip(model.encoders, filtered_pos)]
     weights = softmax_over_filters(model.mix.value)
     integrated = np.zeros_like(pos_out[0][0])
     for a_k, (z_k, _) in zip(weights, pos_out):
@@ -133,27 +133,24 @@ def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
     pos_scores, neg_scores, pos_dz = [], [], []
     dsummary = np.zeros_like(summary)
     for enc, (zp, _), hn in zip(model.encoders, pos_out, filtered_neg):
-        sp_, vjp_p = disc.apply(zp, summary, accumulate=want_grads)
-        zn, enc_vjp = enc.apply(hn, accumulate=want_grads)
-        sn_, vjp_n = disc.apply(zn, summary, accumulate=want_grads)
+        sp_, vjp_p = disc.apply(zp, summary)
+        zn, enc_vjp = enc.apply(hn)
+        sn_, vjp_n = disc.apply(zn, summary)
         pos_scores.append(sp_)
         neg_scores.append(sn_)
-        if want_grads:
-            # d/dpre of -log sigmoid and -log(1 - sigmoid), averaged over pairs
-            dpre = (sp_ - 1.0) / m_pairs
-            ws, ds = vjp_p(dpre)
-            pos_dz.append((dpre, ws))
-            dsummary += ds
-            dpre = sn_ / m_pairs
-            ws, ds = vjp_n(dpre)
-            dsummary += ds
-            # the filtered views are constants: only the parameter grads are needed
-            enc_vjp(np.outer(dpre, ws), project=False)
+        # d/dpre of -log sigmoid and -log(1 - sigmoid), averaged over pairs
+        dpre = (sp_ - 1.0) / m_pairs
+        ws, ds = vjp_p(dpre)
+        pos_dz.append((dpre, ws))
+        dsummary += ds
+        dpre = sn_ / m_pairs
+        ws, ds = vjp_n(dpre)
+        dsummary += ds
+        # the filtered views are constants: only the parameter grads are needed
+        enc_vjp(np.outer(dpre, ws), project=False)
         # drop this branch before the next filter's is formed
         del zn, enc_vjp, vjp_p, vjp_n
     loss = bce_pair_loss(np.concatenate(pos_scores), np.concatenate(neg_scores))
-    if not want_grads:
-        return loss
 
     dintegrated = np.broadcast_to(dsummary / n, (n, summary.size))
     dweights = np.empty_like(weights)
@@ -167,14 +164,6 @@ def _forward_scores(model, filtered_pos, filtered_neg, want_grads):
     return loss
 
 
-def pretrain_loss(model: PretrainedModel, g: Graph, corrupted: np.ndarray) -> float:
-    """Contrastive loss value for a given corruption (no gradients)."""
-    L = laplacian(g, "normalized")
-    pos = filtered_views(L, model.bank, g.features)
-    neg = filtered_views(L, model.bank, corrupted)
-    return _forward_scores(model, pos, neg, want_grads=False)
-
-
 def contrastive_loss_fn(model: PretrainedModel, g: Graph, corrupted: np.ndarray):
     """Closure for gradient checking: one fixed corruption, grads populated."""
     L = laplacian(g, "normalized")
@@ -185,7 +174,7 @@ def contrastive_loss_fn(model: PretrainedModel, g: Graph, corrupted: np.ndarray)
     def loss_fn():
         for p in params:
             p.zero_grad()
-        return _forward_scores(model, pos, neg, want_grads=True)
+        return _forward_scores(model, pos, neg)
 
     return loss_fn
 
@@ -209,7 +198,7 @@ def pretrain(g: Graph, cfg: PretrainConfig):
         neg = filtered_views(L, bank, corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch)))
         for p in model.params():
             p.zero_grad()
-        loss = _forward_scores(model, pos, neg, want_grads=True)
+        loss = _forward_scores(model, pos, neg)
         del neg  # before the next epoch's views are formed
         if not np.isfinite(loss):
             raise NumericError(f"non-finite pre-training loss at epoch {epoch}")

@@ -19,11 +19,12 @@ prompt gradient is G_p^T ds W^T.
 A training epoch's loss reads only the K-shot rows, so training forms both
 pieces, the mixed embeddings and the logits on those rows alone. The filter
 engine runs each step on the ball of rows that later steps read
-(bank_filter_apply with rows), and the rows of L' it reads are assembled from
-the base graph's CSR structure and the prompt wiring (_PromptedRows); the
-whole prompted Laplacian is never built for training. Validation, predict()
-and prompted_encode() read every row and take the full path: the same
-assembly on all rows, then beta_filter_apply.
+(bank_filter_apply with rows). Validation, predict() and prompted_encode()
+read every row and take the full path (beta_filter_apply). L' is built one
+way for both, PromptedGraph.laplacian: the rows a filter reads are assembled
+from the base graph's Laplacian and the prompt wiring (_PromptedRows), so the
+whole prompted Laplacian is never built for training. The tests keep the
+build from the combined edge list (laplacian_from_edges) as the oracle.
 
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
@@ -43,14 +44,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (
-    DatasetError,
-    DatasetSplit,
-    Graph,
-    edge_homophily,
-    laplacian,
-    laplacian_from_edges,
-)
+from .graph import DatasetError, DatasetSplit, Graph, edge_homophily, laplacian
+# laplacian_from_edges stays bound here for callers that wrap it through this
+# module (bench/tracing.py does); nothing here calls it
+from .graph import laplacian_from_edges  # noqa: F401
 from .nn import (
     Adam,
     LinearLayer,
@@ -90,32 +87,15 @@ class TuneConfig:
     normalize: bool = True
 
 
-@dataclass(frozen=True)
-class VariantSpec:
-    """Knobs one ablation flips relative to the full model."""
-
-    name: str
-    low_pass_bank: bool = False  # pre-train on the single low-pass kernel
-    shared_prompt: bool = False
-    n_prompt: int | None = None
-    normalize: bool = True
-
-
-ABLATION_VARIANTS = ("full", "low_pass_only", "single_prompt", "no_prompt", "no_prompt_norm")
-
-
-def make_ablation(variant: str) -> VariantSpec:
-    if variant == "full":
-        return VariantSpec(name=variant)
-    if variant == "low_pass_only":
-        return VariantSpec(name=variant, low_pass_bank=True)
-    if variant == "single_prompt":
-        return VariantSpec(name=variant, shared_prompt=True)
-    if variant == "no_prompt":
-        return VariantSpec(name=variant, n_prompt=0)
-    if variant == "no_prompt_norm":
-        return VariantSpec(name=variant, normalize=False)
-    raise ValueError(f"unknown ablation variant: {variant!r}")
+# ablation variant -> (pre-trains on the low-pass kernel g_{0,C} alone,
+# TuneConfig overrides); low_pass_only acts at pre-training, the rest at tuning
+ABLATION_VARIANTS = {
+    "full": (False, {}),
+    "low_pass_only": (True, {}),
+    "single_prompt": (False, {"shared_prompt": True}),
+    "no_prompt": (False, {"n_prompt": 0}),
+    "no_prompt_norm": (False, {"normalize": False}),
+}
 
 
 def variant_configs(
@@ -124,18 +104,14 @@ def variant_configs(
     """The (pre-training, tuning) configs of one ablation variant.
 
     The full model's configs are the base; a variant flips only its own
-    knobs. low_pass_only acts at pre-training (the bank), the rest at tuning.
+    knobs (ABLATION_VARIANTS).
     """
-    spec = make_ablation(variant)
-    if spec.low_pass_bank:
+    if variant not in ABLATION_VARIANTS:
+        raise ValueError(f"unknown ablation variant: {variant!r}")
+    low_pass_bank, overrides = ABLATION_VARIANTS[variant]
+    if low_pass_bank:
         pre = replace(pre, filters=((0, pre.order),))
-    tune_cfg = replace(
-        tune_cfg,
-        shared_prompt=spec.shared_prompt,
-        normalize=spec.normalize,
-        n_prompt=tune_cfg.n_prompt if spec.n_prompt is None else spec.n_prompt,
-    )
-    return pre, tune_cfg
+    return pre, replace(tune_cfg, **overrides)
 
 
 @dataclass
@@ -163,9 +139,6 @@ class PromptState:
 
     def n_parameters(self) -> int:
         return sum(p.value.size for p in self.tunable_params())
-
-    def prompt_for_filter(self, k: int) -> PromptGraph:
-        return self.prompts[0] if self.shared else self.prompts[k]
 
 
 def feature_stats(X: np.ndarray):
@@ -245,14 +218,15 @@ def _mask_edges(mask: np.ndarray) -> np.ndarray:
     return np.stack(np.nonzero(mask), axis=1).astype(np.int64, copy=False)
 
 
-def build_cross_edges(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
-    """(prompt index, node index) pairs with sigmoid(p_i . x_j) > tau."""
-    return _mask_edges(cross_mask(P, X, tau))
-
-
 @dataclass
 class PromptedGraph:
-    """A base graph with prompt nodes appended at indices N .. N+N_p-1."""
+    """A base graph with prompt nodes appended at indices N .. N+N_p-1.
+
+    Its features are [base.features; prompt_features] and its edges are the
+    base edges, the inner edges and the mask's cross pairs; neither is
+    formed here. L' is built one way, by laplacian(), which assembles rows;
+    the tests build it from the combined edge list as its oracle.
+    """
 
     base: Graph
     prompt_features: np.ndarray  # values actually inserted (post-normalization)
@@ -273,34 +247,16 @@ class PromptedGraph:
     def n_total(self) -> int:
         return self.base.n_nodes + self.prompt_features.shape[0]
 
-    @property
-    def features(self) -> np.ndarray:
-        return np.vstack([self.base.features, self.prompt_features])
+    def laplacian(self, base_csr, rows=None, radius: int = 0) -> sp.csr_matrix:
+        """The normalized L' (n_total x n_total CSR) on the rows within radius
+        hops of rows, or on every row when rows is None; other rows are empty.
 
-    def combined_edges(self) -> np.ndarray:
-        n = self.base.n_nodes
-        parts = [self.base.edges]
-        if self.inner_edges.size:
-            parts.append(self.inner_edges + n)
-        if self.cross_edges.size:
-            # original node index is always the smaller endpoint
-            parts.append(
-                np.stack([self.cross_edges[:, 1], self.cross_edges[:, 0] + n], axis=1)
-            )
-        return np.concatenate(parts, axis=0)
-
-    def laplacian(self, kind: str = "normalized", base=None):
-        """L' on all n_total rows, built from the combined edges (the reference).
-
-        Given base, the base graph's (normalized Laplacian CSR, integer
-        degrees), the normalized L' is assembled from those pieces instead
-        (_PromptedRows): the same CSR bit for bit, without the COO sort.
+        base_csr is the base graph's normalized Laplacian; the rows are
+        assembled from it and the wiring (_PromptedRows).
         """
-        if base is None:
-            return laplacian_from_edges(self.combined_edges(), self.n_total, kind)
-        if kind != "normalized":
-            raise ValueError("only the normalized Laplacian is assembled from base pieces")
-        return _PromptedRows(*base, self).laplacian(np.arange(self.n_total))
+        assembled = _PromptedRows(base_csr, self)
+        q = np.arange(self.n_total) if rows is None else assembled.ball(rows, radius)
+        return assembled.laplacian(q)
 
 
 def insert_prompt(
@@ -359,29 +315,24 @@ def _pointers(counts):
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _base_pieces(g: Graph):
-    """(normalized Laplacian CSR, integer degrees) of the base graph."""
-    deg = np.bincount(g.edges[:, 0], minlength=g.n_nodes)
-    deg += np.bincount(g.edges[:, 1], minlength=g.n_nodes)
-    return laplacian(g), deg
-
-
 class _PromptedRows:
     """Rows of a prompted graph's normalized Laplacian, built from pieces.
 
-    The pieces are the base Laplacian's CSR structure and integer degrees
-    (one per graph), the cross pairs sorted by (node, prompt) and by
-    (prompt, node), and the prompt block with its diagonal. A base row is
-    its base columns then its prompts (all >= n); a prompt row is its nodes
-    then its prompt block columns. Both come out in ascending order, as in
-    the CSR that laplacian_from_edges sorts, and each value is the product
-    it forms: -(d_i^-1/2 d_j^-1/2) off the diagonal, 1 on it, with the
-    prompted degrees (base degrees plus a bincount of the cross endpoints).
-    So the rows equal laplacian_from_edges(pg.combined_edges())[rows] bit
-    for bit. The edge arrays must be canonical (no repeated pair).
+    The pieces are the base Laplacian's CSR structure (one per graph), the
+    cross pairs sorted by (node, prompt) and by (prompt, node), and the
+    prompt block with its diagonal. A base row is its base columns then its
+    prompts (all >= n); a prompt row is its nodes then its prompt block
+    columns. Both come out in ascending order, as in the CSR that
+    laplacian_from_edges sorts, and each value is the product it forms:
+    -(d_i^-1/2 d_j^-1/2) off the diagonal, 1 on it, with the prompted
+    degrees (base degrees plus a bincount of the cross endpoints). Every
+    base row holds its diagonal and one entry per neighbour, so its length
+    less one is the base degree. The rows equal those of the Laplacian that
+    laplacian_from_edges builds from the combined edge list bit for bit (the
+    tests' oracle). The edge arrays must be canonical (no repeated pair).
     """
 
-    def __init__(self, base_csr, base_deg, pg: PromptedGraph):
+    def __init__(self, base_csr, pg: PromptedGraph):
         n = pg.base.n_nodes
         n_p = pg.n_total - n
         p, v = pg.cross_edges[:, 0], pg.cross_edges[:, 1]
@@ -401,7 +352,7 @@ class _PromptedRows:
         self.block_cols = n + bj
         deg = np.concatenate(
             [
-                base_deg + np.bincount(v, minlength=n),
+                np.diff(self.base_ptr) - 1 + np.bincount(v, minlength=n),
                 prompt_deg + np.bincount(iu, minlength=n_p) + np.bincount(ju, minlength=n_p),
             ]
         ).astype(np.float64)
@@ -443,9 +394,9 @@ class _EdgeSetOperators:
 
     An entry holds the prompted Laplacian (or, for a row set, the rows of it
     the filter reads) and, per filter, the base term and G_p of _Branch on
-    those rows; none depends on the prompt values. Both paths assemble the
-    Laplacian rows from the base graph's pieces (_PromptedRows), built once
-    per call. X and the frozen W_k never change within a call, so the filter
+    those rows; none depends on the prompt values. Both paths build it by
+    PromptedGraph.laplacian from the base graph's Laplacian, built once per
+    call. X and the frozen W_k never change within a call, so the filter
     input [X W_k, 0; 0, I] is formed once per filter. Per row set, entries
     used by the previous or the current build survive and older ones are
     dropped, so a wiring that changes every epoch holds two builds' worth and
@@ -457,7 +408,7 @@ class _EdgeSetOperators:
         self.model = model
         self.stats = feature_stats(g.features)
         self._signals = {}
-        self._base = None
+        self._base_csr = None
         self._gens = {}  # row set -> (previous build's entries, current build's)
 
     def next_build(self, rows):
@@ -479,14 +430,10 @@ class _EdgeSetOperators:
         return (lap, *blocks[k])
 
     def _laplacian(self, pg: PromptedGraph, rows):
-        if self._base is None:
-            self._base = _base_pieces(self.g)
-        if rows is None:
-            return pg.laplacian(base=self._base)
-        assembled = _PromptedRows(*self._base, pg)
+        if self._base_csr is None:
+            self._base_csr = laplacian(self.g)
         # a degree-C filter reads L' on the rows within C - 1 hops of rows
-        radius = max(self.model.bank.order - 1, 0)
-        return assembled.laplacian(assembled.ball(rows, radius))
+        return pg.laplacian(self._base_csr, rows, max(self.model.bank.order - 1, 0))
 
     def _filter_blocks(self, lap, k: int, rows):
         n = self.g.n_nodes

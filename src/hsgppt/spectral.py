@@ -95,13 +95,6 @@ class FilterBank:
             raise ValueError("order must be >= 0")
         return cls(tuple((k, order - k) for k in range(order + 1)))
 
-    @classmethod
-    def low_pass(cls, order: int) -> "FilterBank":
-        """Single-kernel bank holding only the low-pass member g_{0,C}."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls(((0, order),))
-
     @property
     def order(self) -> int:
         return sum(self.filters[0])

@@ -119,6 +119,20 @@ def test_checkpoint_with_huge_header_dim_is_data_error(tmp_path, capsys):
     assert err.startswith("data error: ") and str(ckpt) in err, err
 
 
+def test_checkpoint_of_another_feature_dim_is_data_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    pre = tmp_path / "pre"
+    assert run("pretrain", "--data", gen(tmp_path, name="other", f=4), "--out", pre,
+               "--hidden", 4, "--epochs", 1, "--patience", 1) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "tun"
+    assert run("tune", "--data", data, "--ckpt", pre / "model.ckpt", "--out", out,
+               "--k", 2, "--n-prompt", 3, "--epochs", 1) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "takes 4 features, the dataset has 6" in err, err
+    assert not out.exists()
+
+
 def test_eval_deterministic_report(tmp_path):
     data = gen(tmp_path)
     out = tmp_path / "ev"

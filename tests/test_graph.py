@@ -80,20 +80,12 @@ def test_graph_sort_matches_lexsort_and_finds_duplicates():
         Graph("g", np.concatenate([shuffled, shuffled[:1]]), np.zeros((n, 1)))
 
 
-def test_degrees_and_adjacency():
-    g = path_graph(4)
-    assert g.degrees.tolist() == [1, 2, 2, 1]
-    A = g.adjacency.toarray()
-    assert np.array_equal(A, A.T)
-    assert A.sum() == 2 * g.n_edges
-
-
 def test_laplacian_unnormalized_matches_definition():
     g = path_graph(5)
     L = laplacian(g, "unnormalized").toarray()
-    D = np.diag(g.degrees)
-    A = g.adjacency.toarray()
-    assert np.array_equal(L, D - A)
+    A = np.zeros((5, 5))
+    A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1.0
+    assert np.array_equal(L, np.diag([1.0, 2.0, 2.0, 2.0, 1.0]) - A)
 
 
 def test_laplacian_normalized_exactly_symmetric_with_isolated_node():
@@ -133,7 +125,7 @@ def test_kshot_split_shapes_and_disjointness():
     assert all(len(si) == 3 for si in s.shot_indices)
     for c, si in enumerate(s.shot_indices):
         assert np.all(labels[si] == c)
-    train = set(s.train_indices.tolist())
+    train = set(np.concatenate(s.shot_indices).tolist())
     val = set(s.val_indices.tolist())
     test = set(s.test_indices.tolist())
     assert not (train & val) and not (train & test) and not (val & test)
@@ -241,6 +233,9 @@ def make_tsv_dataset(root, n_nodes=3, edges="0\t1\n1\t2\n", labels="0\n1\n0\n"):
     return root
 
 
+FEATURES_BIN_HEADER = np.asarray([3, 2], dtype="<u8").tobytes()  # make_tsv_dataset's shape
+
+
 def test_load_graph_tsv_fallback_and_dedup(tmp_path):
     # duplicate edge (given both ways) and a self-loop to drop
     ds = make_tsv_dataset(tmp_path / "ds", edges="0\t1\n1\t0\n2\t2\n1\t2\n")
@@ -280,6 +275,17 @@ def test_features_bin_header_mismatch(tmp_path):
     (ds / "features.bin").write_bytes(bad)
     with pytest.raises(ShapeMismatchError, match="header says 5x2"):
         load_graph(ds)
+
+
+def test_features_bin_ragged_payload_is_a_data_error(tmp_path, capsys):
+    ds = make_tsv_dataset(tmp_path / "ds")
+    payload = np.zeros(6, dtype="<f8").tobytes() + b"\0" * 3
+    (ds / "features.bin").write_bytes(FEATURES_BIN_HEADER + payload)
+    with pytest.raises(ShapeMismatchError, match="found 51 bytes") as info:
+        load_graph(ds)
+    assert info.value.path == ds / "features.bin"
+    assert main(["analyze", "--data", str(ds), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_dataset_error_is_catch_all_base(tmp_path):
@@ -404,8 +410,9 @@ def test_malformed_dataset_text_is_a_typed_data_error(tmp_path, capsys, damage, 
     assert capsys.readouterr().err.startswith("data error: ")
 
 
-@given(name=st.sampled_from(["labels.tsv", "features.tsv"]),
+@given(name=st.sampled_from(["labels.tsv", "features.tsv", "features.bin"]),
        content=st.one_of(st.binary(max_size=64),
+                         st.binary(max_size=64).map(lambda b: FEATURES_BIN_HEADER + b),
                          st.text(st.sampled_from("0123456789-.e \t\n\r\xffab\u0967"),
                                  max_size=40).map(lambda t: t.encode("utf-8", "surrogateescape"))))
 def test_arbitrary_bytes_in_a_text_file_load_or_raise_dataset_error(name, content):

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 import hsgppt.prompt as prompt_mod
 from hsgppt.csbm import CsbmParams, generate
-from hsgppt.graph import Graph, edge_homophily, kshot_split, laplacian_from_edges
+from hsgppt.graph import Graph, edge_homophily, kshot_split, laplacian, laplacian_from_edges
 from hsgppt.nn import Adam, finite_diff_check, sigmoid, softmax_cross_entropy, softmax_over_filters
 from hsgppt.pretrain import PretrainConfig, PretrainedModel, encode, freeze, pretrain
 from hsgppt.prompt import (
@@ -16,7 +16,6 @@ from hsgppt.prompt import (
     TAU_CROSS_HETEROPHILIC,
     TAU_CROSS_HOMOPHILIC,
     TuneConfig,
-    build_cross_edges,
     build_inner_edges,
     cross_mask,
     default_tau_cross,
@@ -24,7 +23,6 @@ from hsgppt.prompt import (
     init_state,
     insert_prompt,
     load_state,
-    make_ablation,
     normalize_prompt,
     predict,
     prompted_encode,
@@ -42,6 +40,23 @@ def tiny_setup(seed=0, n=40, f=6, h=0.3, hidden=8):
     g = generate(CsbmParams(n=n, f=f, d_avg=5.0, h=h, mu=4.0, seed=seed))
     frozen = freeze(PretrainedModel(FilterBank.full(2), f, hidden, seed=seed))
     return g, frozen
+
+
+def combined_edges(pg):
+    """The prompted graph's canonical edges: base, then inner, then cross."""
+    n = pg.base.n_nodes
+    parts = [pg.base.edges]
+    if pg.inner_edges.size:
+        parts.append(pg.inner_edges + n)
+    if pg.cross_edges.size:
+        # original node index is always the smaller endpoint
+        parts.append(np.stack([pg.cross_edges[:, 1], pg.cross_edges[:, 0] + n], axis=1))
+    return np.concatenate(parts, axis=0)
+
+
+def reference_laplacian(pg):
+    """L' on every row, built from the combined edges (the oracle)."""
+    return laplacian_from_edges(combined_edges(pg), pg.n_total)
 
 
 def test_normalize_prompt_restores_column_stats():
@@ -109,13 +124,13 @@ def test_build_inner_edges_hand_case():
 
 def test_build_cross_edges_hand_case():
     P = np.array([[1.0, 0.0], [0.0, -1.0]])
-    X = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+    g = Graph("g", np.empty((0, 2)), np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]]))
     # scores: p0 vs x: sig(3), sig(0), sig(0); p1: sig(0), sig(-3), sig(0)
-    got = build_cross_edges(P, X, 0.51)
+    got = insert_prompt(g, P, 1.0, 0.51).cross_edges
     assert got.tolist() == [[0, 0]]
-    got = build_cross_edges(P, X, 0.4)
+    got = insert_prompt(g, P, 1.0, 0.4).cross_edges
     assert got.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 2]]
-    assert build_cross_edges(np.empty((0, 2)), X, 0.4).shape == (0, 2)
+    assert insert_prompt(g, np.empty((0, 2)), 1.0, 0.4).cross_edges.shape == (0, 2)
 
 
 def test_insert_prompt_wires_offsets():
@@ -123,16 +138,16 @@ def test_insert_prompt_wires_offsets():
     P = 10.0 * np.eye(3)[:2]  # p0 ~ e0, p1 ~ e1, both strongly aligned
     pg = insert_prompt(g, P, tau_inner=0.2, tau_cross=0.9)
     assert pg.n_total == 5
-    assert pg.features.shape == (5, 3)
     # cross: sig(10) > 0.9 exactly where prompt row matches a basis feature
-    combined = pg.combined_edges()
+    combined = combined_edges(pg)
     # inner pair survives at tau 0.2 (dot zero, sigmoid 0.5)
     assert pg.inner_edges.tolist() == [[0, 1]]
     want_cross = {(0, 3), (1, 4)}  # node index first, prompt shifted by n
     got_cross = {tuple(e) for e in combined.tolist()} - {(0, 1), (1, 2), (3, 4)}
     assert got_cross == want_cross
-    L = pg.laplacian("normalized")
+    L = pg.laplacian(laplacian(g))
     assert L.shape == (5, 5)
+    assert (L != reference_laplacian(pg)).nnz == 0
     with pytest.raises(ValueError, match="feature_dim"):
         insert_prompt(g, np.zeros((2, 7)), 0.2, 0.5)
 
@@ -162,9 +177,10 @@ def test_prompted_encode_matches_dense_eigenbasis_oracle(shared):
         P_in, _ = normalize_prompt(prompt.features.value, mu_o, sigma_o)
         pg = insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross)
         wired += len(pg.cross_edges)
-        dec = eigendecompose(pg.laplacian())
+        dec = eigendecompose(reference_laplacian(pg))
         U, lam = dec.eigenvectors, np.clip(dec.eigenvalues, 0.0, 2.0)
-        filtered = U @ (filter_response(filt, lam)[:, None] * (U.T @ pg.features))
+        features = np.vstack([g.features, pg.prompt_features])
+        filtered = U @ (filter_response(filt, lam)[:, None] * (U.T @ features))
         s = filtered @ enc.weight.value + enc.bias.value
         z = np.where(s < 0, float(enc.alpha.value) * s, s)
         want += weights[k] * z[: g.n_nodes]
@@ -216,7 +232,7 @@ def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
     for branches in epochs:
         for (kk, rr), w, br in zip(frozen.model.bank.filters, xw, branches):
             pg = br.prompted
-            fresh = laplacian_from_edges(pg.combined_edges(), pg.n_total)
+            fresh = reference_laplacian(pg)
             # the held rows are the ones a degree-2 filter reads, equal to fresh ones
             held = _held_rows(br.lap)
             assert np.array_equal(held, _ball(fresh, rows, 1))
@@ -281,14 +297,14 @@ def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
         g0, frozen = tiny_setup(n=60, f=8, h=h, seed=1)
         keep = (g0.edges != 5).all(axis=1)  # node 5 left isolated
         g = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
-        base = prompt_mod._base_pieces(g)
+        base = laplacian(g)
         P = rng.standard_normal((5, g.feature_dim))
         for tau_inner, tau_cross in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0)):
             pg = insert_prompt(g, P, tau_inner, tau_cross)
             assert (pg.cross_edges.size > 0) == (tau_cross < 1.0)
             assert (pg.inner_edges.size > 0) == (tau_inner < 1.0)
-            full = laplacian_from_edges(pg.combined_edges(), pg.n_total)
-            assembled = prompt_mod._PromptedRows(*base, pg)
+            full = reference_laplacian(pg)
+            assembled = prompt_mod._PromptedRows(base, pg)
             for q in (np.arange(pg.n_total), np.array([0, 5, 17, 60, 63]), np.array([61])):
                 got = assembled.laplacian(q)
                 assert got.shape == full.shape
@@ -298,7 +314,11 @@ def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
                 assert np.array_equal(a.indices, b.indices)
                 assert np.array_equal(a.data, b.data)
                 for radius in range(3):
-                    assert np.array_equal(assembled.ball(q, radius), _ball(full, q, radius))
+                    ball = _ball(full, q, radius)
+                    assert np.array_equal(assembled.ball(q, radius), ball)
+                    held = pg.laplacian(base, q, radius)
+                    assert np.array_equal(_held_rows(held), ball)
+                    assert (held[ball] != full[ball]).nnz == 0
 
 
 def _full_row_reference(g, frozen, split, cfg):
@@ -413,19 +433,6 @@ def test_prompt_parameter_count():
     assert state.n_parameters() == 3 * 60 + 18
 
 
-def test_ablation_variant_specs():
-    assert set(ABLATION_VARIANTS) == {
-        "full", "low_pass_only", "single_prompt", "no_prompt", "no_prompt_norm",
-    }
-    assert make_ablation("full") == make_ablation("full")
-    assert make_ablation("low_pass_only").low_pass_bank
-    assert make_ablation("single_prompt").shared_prompt
-    assert make_ablation("no_prompt").n_prompt == 0
-    assert not make_ablation("no_prompt_norm").normalize
-    with pytest.raises(ValueError, match="variant"):
-        make_ablation("extra_prompt")
-
-
 def test_variant_configs_flip_only_their_own_knobs():
     pre, tune_cfg = PretrainConfig(order=3, epochs=7), TuneConfig(n_prompt=4, lr=0.1)
     configs = {v: variant_configs(v, pre, tune_cfg) for v in ABLATION_VARIANTS}
@@ -434,6 +441,9 @@ def test_variant_configs_flip_only_their_own_knobs():
     assert configs["single_prompt"] == (pre, TuneConfig(n_prompt=4, lr=0.1, shared_prompt=True))
     assert configs["no_prompt"] == (pre, TuneConfig(n_prompt=0, lr=0.1))
     assert configs["no_prompt_norm"] == (pre, TuneConfig(n_prompt=4, lr=0.1, normalize=False))
+    assert set(configs) == {"full", "low_pass_only", "single_prompt", "no_prompt", "no_prompt_norm"}
+    with pytest.raises(ValueError, match="variant"):
+        variant_configs("extra_prompt", pre, tune_cfg)
 
 
 def test_default_tau_cross_threshold():
@@ -523,7 +533,8 @@ def test_cross_mask_equals_sigmoid_threshold(tau, offsets, seed):
     rng = np.random.default_rng(seed)
     P, X = rng.standard_normal((4, 16)), rng.standard_normal((64, 16))
     assert np.array_equal(cross_mask(P, X, tau), reference_cross_mask(P, X, tau))
-    assert np.array_equal(build_cross_edges(P, X, tau), reference_cross_edges(P, X, tau))
+    edges = prompt_mod._mask_edges(cross_mask(P, X, tau))
+    assert np.array_equal(edges, reference_cross_edges(P, X, tau))
 
 
 def test_cross_mask_takes_the_sigmoid_only_inside_the_band(monkeypatch):
@@ -552,14 +563,14 @@ def _bench_setup(g):
 
 
 def _reference_operators(monkeypatch):
-    """Wire by the oracle and build the full-row L' by PromptedGraph.laplacian."""
+    """Wire by the oracle and build the full-row L' from the combined edges."""
     assemble = prompt_mod._EdgeSetOperators._laplacian
 
-    def laplacian(self, pg, rows):
-        return pg.laplacian() if rows is None else assemble(self, pg, rows)
+    def full_rows_by_oracle(self, pg, rows):
+        return reference_laplacian(pg) if rows is None else assemble(self, pg, rows)
 
     monkeypatch.setattr(prompt_mod, "cross_mask", reference_cross_mask)
-    monkeypatch.setattr(prompt_mod._EdgeSetOperators, "_laplacian", laplacian)
+    monkeypatch.setattr(prompt_mod._EdgeSetOperators, "_laplacian", full_rows_by_oracle)
 
 
 def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_graph, monkeypatch):
@@ -663,18 +674,18 @@ def test_full_row_laplacian_equals_the_reference(benchmark_graph):
     g0, _ = tiny_setup(n=60, f=8, seed=1)
     keep = (g0.edges != 5).all(axis=1)  # node 5 left without edges
     tiny = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
+    edgeless = Graph("edgeless", np.empty((0, 2)), g0.features)
     rng = np.random.default_rng(4)
-    for g, tau_cross in ((tiny, 0.5), (benchmark_graph, default_tau_cross(edge_homophily(benchmark_graph)))):
-        base = prompt_mod._base_pieces(g)
+    bench_tau = default_tau_cross(edge_homophily(benchmark_graph))
+    for g, tau_cross in ((tiny, 0.5), (edgeless, 0.5), (benchmark_graph, bench_tau)):
+        base = laplacian(g)
         mu_o, sigma_o = feature_stats(g.features)
         for n_p in (0, 10):  # n_p = 0 is the no_prompt ablation
             P = rng.standard_normal((n_p, g.feature_dim)) * sigma_o + mu_o
             pg = insert_prompt(g, P, 0.2, tau_cross)
             assert (pg.cross_edges.size > 0) == (n_p > 0)
-            got, want = pg.laplacian(base=base), pg.laplacian()
+            got, want = pg.laplacian(base), reference_laplacian(pg)
             assert got.shape == want.shape
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
-    with pytest.raises(ValueError, match="normalized"):
-        pg.laplacian("unnormalized", base=base)

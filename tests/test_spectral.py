@@ -84,7 +84,6 @@ def test_filter_bank_construction():
     bank = FilterBank.full(2)
     assert bank.filters == ((0, 2), (1, 1), (2, 0))
     assert bank.order == 2 and bank.size == 3
-    assert FilterBank.low_pass(3).filters == ((0, 3),)
     with pytest.raises(ValueError, match="k \\+ r"):
         FilterBank(((0, 2), (1, 2)))
     with pytest.raises(ValueError):
@@ -153,7 +152,7 @@ def test_bank_engine_matches_per_kernel_ladder(monkeypatch):
     L = laplacian(g, "normalized")
     products = CountingOperator(monkeypatch)
     banks = [FilterBank.full(c).filters for c in range(7)]
-    banks += [FilterBank.low_pass(3).filters, ((2, 1), (0, 3)), ((0, 4), (0, 4), (3, 1))]
+    banks += [((0, 3),), ((2, 1), (0, 3)), ((0, 4), (0, 4), (3, 1))]
     for filters in banks:
         for x in (rng.standard_normal(60), rng.standard_normal((60, 4))):
             keep = x.copy()
@@ -219,7 +218,7 @@ def test_bank_engine_rows_equal_full_rows_bit_for_bit(monkeypatch):
     n_total = L.shape[0]
     banks = [FilterBank.full(c).filters for c in range(6)]
     banks += [((k, r),) for k, r in ((0, 0), (0, 3), (3, 0), (2, 2), (1, 4))]
-    banks += [FilterBank.low_pass(3).filters, ((2, 1), (0, 3))]
+    banks += [((0, 3),), ((2, 1), (0, 3))]
     row_sets = [
         np.array([3]),
         np.array([7]),  # isolated: its ball is itself
