@@ -389,7 +389,7 @@ def _cmd_analyze(cfg) -> int:
         report["spectral_energy"] = "skipped: graph exceeds dense eigensolver limit"
 
     bank = spectral.FilterBank.full(cfg["order"])
-    lam, curves = spectral.response_grid(list(bank.filters) + list(spectral.TRIPLE_FILTERS))
+    lam, curves = spectral.response_grid(list(bank.filters) + list(spectral.REFERENCE_FILTERS))
     header = ["lambda"] + list(curves)
     rows = [[lam[i]] + [curves[name][i] for name in curves] for i in range(lam.size)]
     _write_tsv(out / "filter_curves.tsv", header, rows)
@@ -464,18 +464,18 @@ def _cmd_eval(cfg) -> int:
         _require(cfg, "source", "target")
         source = _load_data(cfg, "source")
         target = _load_data(cfg, "target")
-        report = evaluate.run_inductive(source, target, pipeline, seeds)
+        report = evaluate.run_inductive(source, target, pipeline, seeds, workers=_workers(cfg))
     report.wall_clock["total"] = time.perf_counter() - t0
     out = _out_dir(cfg)
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     )
-    (out / "report.txt").write_text(report.to_text(include_timings=False))
+    (out / "report.txt").write_text(report.to_text())
     (out / "timings.json").write_text(
         json.dumps({k: round(v, 3) for k, v in report.wall_clock.items()}, sort_keys=True) + "\n"
     )
     _finish_outputs(out, "eval", cfg, ["report.json", "report.txt", "timings.json"])
-    print(report.to_text(include_timings=False))
+    print(report.to_text())
     # timing telemetry goes to stderr so stdout stays bit-reproducible
     for phase, secs in report.wall_clock.items():
         print(f"time {phase:<14} {secs:.2f}s", file=sys.stderr)

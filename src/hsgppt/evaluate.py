@@ -14,7 +14,7 @@ from .graph import Graph, kshot_split, laplacian, svd_reduce, with_features
 from .nn import Adam, LinearLayer, softmax_cross_entropy
 from .pretrain import PretrainConfig, derive_seed, freeze, pretrain
 from .prompt import TuneConfig, predict, tune, variant_configs
-from .spectral import TRIPLE_FILTERS, triple_filter_apply
+from .spectral import REFERENCE_FILTERS, bank_filter_apply
 
 
 def accuracy(pred, truth, mask) -> float:
@@ -104,8 +104,9 @@ class EvalReport:
     config_fingerprint: str
     wall_clock: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        # wall_clock is left out so re-runs are bit-exact
+        return {
             "dataset": self.dataset,
             "mode": self.mode,
             "seeds": list(self.seeds),
@@ -116,12 +117,9 @@ class EvalReport:
             "std_f1": self.std_f1,
             "config_fingerprint": self.config_fingerprint,
         }
-        if include_timings:
-            out["wall_clock"] = dict(self.wall_clock)
-        return out
 
-    def to_text(self, include_timings: bool = True) -> str:
-        # timings are excluded from the on-disk report so re-runs are bit-exact
+    def to_text(self) -> str:
+        # wall_clock is left out so re-runs are bit-exact
         lines = [
             f"dataset            {self.dataset}",
             f"mode               {self.mode}",
@@ -134,9 +132,6 @@ class EvalReport:
         std_f = f" +/- {self.std_f1:.4f}" if self.std_f1 is not None else ""
         lines.append(f"{'mean':>6} {self.mean_accuracy:>10.4f}{std_a}")
         lines.append(f"{'':>6} {self.mean_f1:>10.4f}{std_f} (macro F1)")
-        if include_timings:
-            for phase, secs in self.wall_clock.items():
-                lines.append(f"time {phase:<14} {secs:.2f}s")
         return "\n".join(lines) + "\n"
 
 
@@ -146,29 +141,17 @@ def _sample_std(values) -> float | None:
     return float(np.std(values, ddof=1))
 
 
-def _aggregate(dataset, mode, seeds, rows, fingerprint, wall_clock) -> EvalReport:
-    accs = [r.accuracy for r in rows]
-    f1s = [r.macro_f1 for r in rows]
-    return EvalReport(
-        dataset=dataset,
-        mode=mode,
-        seeds=list(seeds),
-        per_seed=rows,
-        mean_accuracy=float(np.mean(accs)),
-        mean_f1=float(np.mean(f1s)),
-        std_accuracy=_sample_std(accs),
-        std_f1=_sample_std(f1s),
-        config_fingerprint=fingerprint,
-        wall_clock=wall_clock,
-    )
+def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None):
+    """One pretrain -> freeze -> split -> tune -> predict -> score round on g.
 
-
-def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, frozen=None):
-    """One pretrain+tune+score round; test labels are read only at scoring."""
+    The backbone is pre-trained on source (default g) unless a frozen one is
+    given. Test labels are read only at scoring. Returns (SeedResult,
+    {phase: seconds}).
+    """
     timings = {}
     if frozen is None:
         t0 = time.perf_counter()
-        model, _ = pretrain(g, replace(cfg.pretrain, seed=seed))
+        model, _ = pretrain(g if source is None else source, replace(cfg.pretrain, seed=seed))
         frozen = freeze(model)
         timings["pretrain"] = time.perf_counter() - t0
     split = kshot_split(g, cfg.k_shots, seed=seed)
@@ -186,30 +169,49 @@ def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, frozen=None):
     return result, timings
 
 
-def run_transductive(g: Graph, cfg: PipelineConfig, seeds, workers: int = 1) -> EvalReport:
-    """Pre-train, freeze, K-shot split, tune, and score on one graph.
+def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalReport:
+    """_run_seed over seeds, aggregated, with each phase's time summed.
 
     Seeds are independent, so workers > 1 fans them out to processes; the
     per-seed results are identical to a serial run.
     """
-    rows = []
-    wall = {"pretrain": 0.0, "tune": 0.0}
     if workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            futures = [pool.submit(_run_seed, g, cfg, seed) for seed in seeds]
+            futures = [pool.submit(_run_seed, g, cfg, seed, source) for seed in seeds]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_run_seed(g, cfg, seed) for seed in seeds]
-    for result, timings in outcomes:
+        outcomes = [_run_seed(g, cfg, seed, source) for seed in seeds]
+    rows = [result for result, _ in outcomes]
+    wall = {"pretrain": 0.0, "tune": 0.0}
+    for _, timings in outcomes:
         for k, v in timings.items():
             wall[k] += v
-        rows.append(result)
-    return _aggregate(g.name, "transductive", seeds, rows, cfg.fingerprint([g.name]), wall)
+    accs = [r.accuracy for r in rows]
+    f1s = [r.macro_f1 for r in rows]
+    return EvalReport(
+        dataset=name,
+        mode=mode,
+        seeds=list(seeds),
+        per_seed=rows,
+        mean_accuracy=float(np.mean(accs)),
+        mean_f1=float(np.mean(f1s)),
+        std_accuracy=_sample_std(accs),
+        std_f1=_sample_std(f1s),
+        config_fingerprint=cfg.fingerprint(extra),
+        wall_clock=wall,
+    )
 
 
-def run_inductive(source: Graph, target: Graph, cfg: PipelineConfig, seeds) -> EvalReport:
+def run_transductive(g: Graph, cfg: PipelineConfig, seeds, workers: int = 1) -> EvalReport:
+    """Pre-train, freeze, K-shot split, tune, and score on one graph."""
+    return _report(g.name, "transductive", [g.name], g, cfg, seeds, workers)
+
+
+def run_inductive(
+    source: Graph, target: Graph, cfg: PipelineConfig, seeds, workers: int = 1
+) -> EvalReport:
     """Pre-train on one graph, prompt-tune on another.
 
     Both feature sets are SVD-reduced to the shared dimension independently
@@ -221,18 +223,8 @@ def run_inductive(source: Graph, target: Graph, cfg: PipelineConfig, seeds) -> E
         raise ValueError(f"shared dim {dim} exceeds rank bound {bound}")
     src = with_features(source, svd_reduce(source.features, dim))
     tgt = with_features(target, svd_reduce(target.features, dim))
-    rows = []
-    wall = {"pretrain": 0.0, "tune": 0.0}
-    for seed in seeds:
-        t0 = time.perf_counter()
-        model, _ = pretrain(src, replace(cfg.pretrain, seed=seed))
-        frozen = freeze(model)
-        wall["pretrain"] += time.perf_counter() - t0
-        result, timings = _run_seed(tgt, cfg, seed, frozen=frozen)
-        wall["tune"] += timings["tune"]
-        rows.append(result)
     name = f"{source.name}->{target.name}"
-    return _aggregate(name, "inductive", seeds, rows, cfg.fingerprint([name, dim]), wall)
+    return _report(name, "inductive", [name, dim], tgt, cfg, seeds, workers, source=src)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +249,15 @@ def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> l
     rows = []
     for variant in variants:
         pre_cfg, tune_cfg = variant_configs(variant, cfg.pretrain, cfg.tune)
+        variant_cfg = replace(cfg, pretrain=pre_cfg, tune=tune_cfg)
         scores = []
         for seed in seeds:
             key = (pre_cfg.filters, seed)
             if key not in backbones:
                 model, _ = pretrain(g, replace(pre_cfg, seed=seed))
                 backbones[key] = freeze(model)
-            frozen = backbones[key]
-            split = kshot_split(g, cfg.k_shots, seed=seed)
-            state, _ = tune(g, frozen, split, replace(tune_cfg, seed=seed))
-            pred = np.argmax(predict(g, frozen, state), axis=1)
-            n_classes = g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
-            scores.append(f1_score(pred, g.labels, n_classes, split.test_indices, cfg.f1_average))
+            result, _ = _run_seed(g, variant_cfg, seed, frozen=backbones[key])
+            scores.append(result.macro_f1)
         rows.append(
             AblationRow(
                 variant=variant,
@@ -298,14 +287,14 @@ def train_linear_probe(X, labels, n_classes, split_idx, lr=0.05, epochs=200, see
         vjp(dlogits)
         opt.step()
         if (epoch + 1) % 10 == 0 or epoch == epochs - 1:
-            logits, _ = head.apply(X, accumulate=False)
+            logits, _ = head.apply(X)
             pred = np.argmax(logits, axis=1)
             val = macro_f1(pred, labels, n_classes, val_idx)
             if val > best[0]:
                 best = (val, [p.value.copy() for p in head.params()])
     for p, v in zip(head.params(), best[1]):
         p.value[...] = v
-    logits, _ = head.apply(X, accumulate=False)
+    logits, _ = head.apply(X)
     pred = np.argmax(logits, axis=1)
     return macro_f1(pred, labels, n_classes, test_idx)
 
@@ -328,20 +317,21 @@ class SweepCell:
 def filter_sweep_study(h_values, seeds, params: CsbmParams | None = None) -> list:
     """Reference filters (low/mid/high) probed across a homophily sweep.
 
-    For each generated graph, each filter is applied to the features as a
-    polynomial in the normalized Laplacian and a logistic head is trained on
-    a 50/20/30 node split.
+    For each generated graph, the reference filters' bank kernels are
+    applied to the features by one power series in the normalized Laplacian
+    (two sparse products), each view is scaled (REFERENCE_FILTERS), and a
+    logistic head is trained on a 50/20/30 node split.
     """
     base = params if params is not None else CsbmParams()
+    kernels = [kernel for kernel, _ in REFERENCE_FILTERS.values()]
     cells = []
     for h in h_values:
         for seed in seeds:
             g = generate(replace(base, h=float(h), seed=seed))
-            L = laplacian(g, "normalized")
+            views = bank_filter_apply(laplacian(g, "normalized"), kernels, g.features)
             split_idx = split_50_20_30(g.n_nodes, seed=derive_seed(seed, 4))
-            for which in TRIPLE_FILTERS:
-                filtered = triple_filter_apply(L, which, g.features)
-                score = train_linear_probe(filtered, g.labels, 2, split_idx, seed=seed)
+            for (which, (_, scale)), view in zip(REFERENCE_FILTERS.items(), views):
+                score = train_linear_probe(scale * view, g.labels, 2, split_idx, seed=seed)
                 cells.append(SweepCell(h=float(h), seed=seed, filter=which, test_f1=float(score)))
     return cells
 

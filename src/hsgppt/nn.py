@@ -65,12 +65,12 @@ class LinearLayer:
             out.append(self.alpha)
         return out
 
-    def apply(self, x, accumulate=True):
-        """Forward pass returning (output, vjp). vjp(dout) -> dx.
+    def apply(self, x):
+        """Forward pass returning (output, vjp). vjp(dout) -> dx, and it
+        accumulates the parameter grads.
 
         Each call owns its cache, so the layer can be applied to several
-        inputs before any backward runs. With accumulate=False the vjp still
-        returns dx but leaves the parameter grads untouched (frozen use).
+        inputs before any backward runs.
         """
         x = np.asarray(x, dtype=np.float64)
         s = x @ self.weight.value + self.bias.value
@@ -86,14 +86,12 @@ class LinearLayer:
             else:
                 neg = s < 0
                 ds = act_vjp(dout, neg)
-                if accumulate:
-                    # one gather of the products dout[neg] * s[neg] in row-major
-                    # order, as a boolean compaction gives them (so the sum is
-                    # the same bit for bit), at a fraction of its cost
-                    self.alpha.grad += np.sum((dout * s).ravel().take(np.flatnonzero(neg)))
-            if accumulate:
-                self.weight.grad += x.T @ ds
-                self.bias.grad += ds.sum(axis=0)
+                # one gather of the products dout[neg] * s[neg] in row-major
+                # order, as a boolean compaction gives them (so the sum is
+                # the same bit for bit), at a fraction of its cost
+                self.alpha.grad += np.sum((dout * s).ravel().take(np.flatnonzero(neg)))
+            self.weight.grad += x.T @ ds
+            self.bias.grad += ds.sum(axis=0)
             return ds @ self.weight.value.T if project else ds
 
         return out, vjp

@@ -100,7 +100,7 @@ def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
     """Forward pass on a graph (or on precomputed filtered views)."""
     if filtered is None:
         filtered = filtered_views(laplacian(g, "normalized"), model.bank, g.features)
-    per_filter = [enc.apply(h, accumulate=False)[0] for enc, h in zip(model.encoders, filtered)]
+    per_filter = [enc.apply(h)[0] for enc, h in zip(model.encoders, filtered)]
     weights = softmax_over_filters(model.mix.value)
     integrated = np.zeros_like(per_filter[0])
     for a_k, z_k in zip(weights, per_filter):

@@ -31,7 +31,9 @@ from .graph import Graph, edge_homophily, laplacian
 
 DENSE_EIGEN_LIMIT = 5000
 
-TRIPLE_FILTERS = ("low", "mid", "high")
+# reference filter name -> (bank kernel (k, r), scale): low = g_{0,1} =
+# 1 - lambda/2, mid = (4/3) g_{1,1} = 1 - (lambda - 1)^2, high = g_{1,0} = lambda/2
+REFERENCE_FILTERS = {"low": ((0, 1), 1.0), "mid": ((1, 1), 4 / 3), "high": ((1, 0), 1.0)}
 
 
 def beta_constant(k: int, r: int) -> float:
@@ -53,24 +55,19 @@ def beta_constant(k: int, r: int) -> float:
 def filter_response(filt, lam):
     """Scalar response of a bank entry (k, r) or a reference filter name.
 
-    Reference filters: low = 1 - lambda/2, mid = 1 - (lambda-1)^2,
-    high = lambda/2. lambda must lie in [0, 2].
+    A reference filter is its REFERENCE_FILTERS kernel times its scale.
+    lambda must lie in [0, 2].
     """
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(lam < 0) or np.any(lam > 2):
         raise ValueError("lambda outside [0, 2]")
+    scale = 1.0
     if isinstance(filt, str):
-        if filt == "low":
-            out = 1.0 - lam / 2.0
-        elif filt == "mid":
-            out = 1.0 - (lam - 1.0) ** 2
-        elif filt == "high":
-            out = lam / 2.0
-        else:
+        if filt not in REFERENCE_FILTERS:
             raise ValueError(f"unknown reference filter: {filt!r}")
-    else:
-        k, r = filt
-        out = beta_constant(k, r) * (lam / 2.0) ** k * (1.0 - lam / 2.0) ** r
+        filt, scale = REFERENCE_FILTERS[filt]
+    k, r = filt
+    out = scale * beta_constant(k, r) * (lam / 2.0) ** k * (1.0 - lam / 2.0) ** r
     return out if out.ndim else float(out)
 
 
@@ -102,9 +99,6 @@ class FilterBank:
     @property
     def size(self) -> int:
         return len(self.filters)
-
-    def constants(self):
-        return [beta_constant(k, r) for k, r in self.filters]
 
 
 def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list:
@@ -215,21 +209,6 @@ def _row_steps(L: sp.csr_matrix, rows, top: int):
 def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:
     """g_{k,r}(L) x via k+r sparse matvecs. x may be a vector or a matrix."""
     return bank_filter_apply(L, ((k, r),), x)[0]
-
-
-def triple_filter_apply(L: sp.spmatrix, which: str, x: np.ndarray) -> np.ndarray:
-    """Apply a reference filter (low/mid/high) as a polynomial in L."""
-    x = np.asarray(x, dtype=np.float64)
-    if L.shape[1] != x.shape[0]:
-        raise ValueError(f"L is {L.shape}, signal has {x.shape[0]} rows")
-    if which == "low":
-        return x - 0.5 * (L @ x)
-    if which == "mid":
-        t = L @ x
-        return 2.0 * t - L @ t
-    if which == "high":
-        return 0.5 * (L @ x)
-    raise ValueError(f"unknown reference filter: {which!r}")
 
 
 @dataclass(frozen=True)

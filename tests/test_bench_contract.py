@@ -2,11 +2,15 @@
 
 bench/tracing.py wraps package functions by (module, attribute path). A name
 it lists that the package renames or deletes would only fail the benchmark's
-own tests, so this checks each one where the tracer looks it up.
+own tests, so this checks each one where the tracer looks it up, and the call
+shape of the one function whose arguments the tracer reads.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import hsgppt.prompt
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -24,3 +28,10 @@ def test_every_traced_binding_is_owned_by_its_module():
         if attr not in owner.__dict__:
             missing.append(f"{module}:{path}")
     assert missing == []
+
+
+def test_forward_keeps_the_call_shape_the_tracer_reads():
+    # install()'s forward_hook calls _forward(g, frozen, state, branches, train)
+    # positionally and reads train, which nothing in the package reads
+    params = list(inspect.signature(hsgppt.prompt._forward).parameters)
+    assert params == ["g", "frozen", "state", "branches", "train"]

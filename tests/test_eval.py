@@ -118,9 +118,10 @@ def test_run_transductive_report_shape_and_determinism():
     assert [r.seed for r in rep1.per_seed] == [0, 1]
     assert rep1.mean_f1 == pytest.approx(np.mean([r.macro_f1 for r in rep1.per_seed]))
     assert rep1.std_f1 == pytest.approx(np.std([r.macro_f1 for r in rep1.per_seed], ddof=1))
-    assert rep1.to_json_dict() == rep2.to_json_dict()  # timings excluded by default
-    assert "wall_clock" in rep1.to_json_dict(include_timings=True)
-    assert "time pretrain" in rep1.to_text()
+    assert rep1.to_json_dict() == rep2.to_json_dict()  # timings excluded
+    assert "wall_clock" not in rep1.to_json_dict()
+    assert set(rep1.wall_clock) == {"pretrain", "tune"}
+    assert all(v > 0 for v in rep1.wall_clock.values())
     single = run_transductive(g, cfg, seeds=[0])
     assert single.std_f1 is None and single.std_accuracy is None
     assert single.per_seed[0].macro_f1 == rep1.per_seed[0].macro_f1
@@ -143,6 +144,17 @@ def test_run_inductive_and_rank_bound():
     assert rep.mode == "inductive"
     assert rep.dataset == f"{src.name}->{tgt.name}"
     assert 0.0 <= rep.mean_f1 <= 1.0
+
+
+def test_run_inductive_workers_match_serial():
+    src = generate(CsbmParams(n=50, f=10, d_avg=5.0, h=0.7, mu=4.0, seed=0))
+    tgt = generate(CsbmParams(n=40, f=8, d_avg=5.0, h=0.3, mu=4.0, seed=1))
+    cfg = micro_cfg(svd_dim=6)
+    serial = run_inductive(src, tgt, cfg, seeds=[0, 1], workers=1)
+    fanned = run_inductive(src, tgt, cfg, seeds=[0, 1], workers=2)
+    assert [vars(r) for r in serial.per_seed] == [vars(r) for r in fanned.per_seed]
+    assert serial.to_json_dict() == fanned.to_json_dict()
+    assert set(fanned.wall_clock) == {"pretrain", "tune"}
 
 
 def test_ablation_rows_and_determinism():
@@ -181,4 +193,5 @@ def test_report_text_format():
         wall_clock={"tune": 1.0},
     )
     text = rep.to_text()
-    assert "0.7500" in text and "0.5000" in text and "time tune" in text
+    assert "0.7500" in text and "0.5000" in text
+    assert "time" not in text  # wall-clock data stays out of the report

@@ -86,7 +86,7 @@ def test_linear_vjp_matches_independent_finite_difference():
     d = rng.standard_normal((6, 3))
 
     def scalar_loss():
-        out, _ = layer.apply(x, accumulate=False)
+        out, _ = layer.apply(x)
         return float((out * d).sum())
 
     layer.weight.zero_grad()
@@ -105,7 +105,7 @@ def test_linear_vjp_project_flag_consistency():
     layer = LinearLayer(4, 3, rng)
     x = rng.standard_normal((5, 4))
     d = rng.standard_normal((5, 3))
-    _, vjp = layer.apply(x, accumulate=False)
+    _, vjp = layer.apply(x)
     dx = vjp(d)
     ds = vjp(d, project=False)
     assert np.allclose(ds @ layer.weight.value.T, dx, atol=0)
@@ -171,17 +171,6 @@ def test_prelu_slope_gradient_bit_exact(case):
     vjp(d)
     # the boolean compaction it replaces, as the oracle
     assert same_bits(layer.alpha.grad, np.sum((d * s)[neg]))
-
-
-def test_linear_accumulate_false_leaves_grads():
-    rng = np.random.default_rng(5)
-    layer = LinearLayer(3, 3, rng)
-    x = rng.standard_normal((4, 3))
-    _, vjp = layer.apply(x, accumulate=False)
-    vjp(np.ones((4, 3)))
-    assert not layer.weight.grad.any()
-    assert not layer.bias.grad.any()
-    assert not layer.alpha.grad.any()
 
 
 def test_softmax_over_filters_columns():

@@ -9,8 +9,10 @@ import pytest
 import scipy.sparse as sp
 
 from hsgppt.csbm import CsbmParams, generate
+from hsgppt.evaluate import filter_sweep_study
 from hsgppt.graph import Graph, laplacian, laplacian_from_edges
 from hsgppt.spectral import (
+    REFERENCE_FILTERS,
     FilterBank,
     bank_filter_apply,
     beta_constant,
@@ -24,7 +26,6 @@ from hsgppt.spectral import (
     response_grid,
     spectral_energy,
     to_spectral,
-    triple_filter_apply,
 )
 
 
@@ -278,10 +279,23 @@ def test_triple_filters_match_eigenbasis_oracle():
     decomp = eigendecompose(L)
     U, lam = decomp.eigenvectors, np.clip(decomp.eigenvalues, 0.0, 2.0)
     x = rng.standard_normal(30)
-    for which in ("low", "mid", "high"):
-        got = triple_filter_apply(L, which, x)
-        want = U @ (np.asarray(filter_response(which, lam)) * (U.T @ x))
+    # closed forms, independent of the table
+    responses = {"low": 1 - lam / 2, "mid": 1 - (lam - 1) ** 2, "high": lam / 2}
+    assert list(REFERENCE_FILTERS) == list(responses)
+    for which, (kernel, scale) in REFERENCE_FILTERS.items():
+        got = scale * bank_filter_apply(L, (kernel,), x)[0]
+        want = U @ (responses[which] * (U.T @ x))
         assert np.max(np.abs(got - want)) < 1e-10
+        assert np.allclose(filter_response(which, lam), responses[which], rtol=0, atol=1e-15)
+
+
+def test_filter_sweep_takes_two_products_per_graph(monkeypatch):
+    # the three reference filters share one order-2 power series
+    products = CountingOperator(monkeypatch)
+    params = CsbmParams(n=60, f=4, d_avg=5.0, h=0.5, mu=6.0, seed=0)
+    cells = filter_sweep_study([0.2, 0.8], seeds=[0, 1], params=params)
+    assert len(cells) == 2 * 2 * 3
+    assert products.matmuls == 2 * 2 * 2
 
 
 def test_filter_apply_never_densifies_shape_contract():
