@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .csbm import CsbmParams, generate
-from .graph import Graph, kshot_split, laplacian, svd_reduce, with_features
+from .graph import Graph, class_count, kshot_split, laplacian, svd_reduce, with_features
 from .nn import Adam, LinearLayer, softmax_cross_entropy
 from .pretrain import PretrainConfig, derive_seed, freeze, pretrain
 from .prompt import TuneConfig, predict, tune, variant_configs
@@ -102,6 +102,8 @@ class EvalReport:
     std_accuracy: float | None  # sample std, None below 2 seeds
     std_f1: float | None
     config_fingerprint: str
+    # seconds: "total" (set by the CLI) is the run's wall clock; each
+    # "<phase>_seed_sum" is that phase's per-seed time summed over seeds
     wall_clock: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -160,20 +162,21 @@ def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None
     timings["tune"] = time.perf_counter() - t0
     probs = predict(g, frozen, state)
     pred = np.argmax(probs, axis=1)
-    n_classes = g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
     result = SeedResult(
         seed=seed,
         accuracy=accuracy(pred, g.labels, split.test_indices),
-        macro_f1=f1_score(pred, g.labels, n_classes, split.test_indices, cfg.f1_average),
+        macro_f1=f1_score(pred, g.labels, class_count(g), split.test_indices, cfg.f1_average),
     )
     return result, timings
 
 
 def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalReport:
-    """_run_seed over seeds, aggregated, with each phase's time summed.
+    """_run_seed over seeds, aggregated, with each phase's time summed over
+    seeds (as "<phase>_seed_sum").
 
     Seeds are independent, so workers > 1 fans them out to processes; the
-    per-seed results are identical to a serial run.
+    per-seed results are identical to a serial run, and the sums then add
+    seconds spent in parallel, so they can exceed the run's wall clock.
     """
     if workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -184,10 +187,10 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
     else:
         outcomes = [_run_seed(g, cfg, seed, source) for seed in seeds]
     rows = [result for result, _ in outcomes]
-    wall = {"pretrain": 0.0, "tune": 0.0}
+    seconds = {"pretrain_seed_sum": 0.0, "tune_seed_sum": 0.0}
     for _, timings in outcomes:
-        for k, v in timings.items():
-            wall[k] += v
+        for phase, v in timings.items():
+            seconds[f"{phase}_seed_sum"] += v
     accs = [r.accuracy for r in rows]
     f1s = [r.macro_f1 for r in rows]
     return EvalReport(
@@ -200,7 +203,7 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
         std_accuracy=_sample_std(accs),
         std_f1=_sample_std(f1s),
         config_fingerprint=cfg.fingerprint(extra),
-        wall_clock=wall,
+        wall_clock=seconds,
     )
 
 

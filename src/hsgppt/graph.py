@@ -133,32 +133,39 @@ class DatasetSplit:
     seed: int
 
 
+def normalized_laplacian_entries(deg, rows, cols) -> np.ndarray:
+    """Entries (rows, cols) of I - D^{-1/2} A D^{-1/2} for node degrees deg.
+
+    D^{-1/2} = 0 on isolated nodes, -(d_i^{-1/2} d_j^{-1/2}) off the
+    diagonal and 1 on it. Every normalized Laplacian is valued by this rule,
+    so both endpoints of an edge hold the same bits.
+    """
+    dinv = np.zeros(deg.shape, dtype=np.float64)
+    nz = deg > 0
+    dinv[nz] = 1.0 / np.sqrt(deg[nz])
+    data = -(dinv[rows] * dinv[cols])
+    data[rows == cols] = 1.0
+    return data
+
+
 def laplacian_from_edges(edges, n, kind="normalized") -> sp.csr_matrix:
     """Laplacian of the undirected graph given by a canonical edge array.
 
-    normalized: I - D^{-1/2} A D^{-1/2}, with the convention D^{-1/2} = 0 on
-    isolated nodes (their rows reduce to the identity row). unnormalized:
-    D - A. Off-diagonal entries are built as symmetric products so the
-    returned matrix is exactly symmetric.
+    normalized: I - D^{-1/2} A D^{-1/2} (normalized_laplacian_entries; an
+    isolated node's row is the identity row). unnormalized: D - A.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = edges[:, 0], edges[:, 1]
-    deg = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.float64)
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     diag_idx = np.arange(n, dtype=np.int64)
-    if kind == "normalized":
-        dinv = np.zeros(n, dtype=np.float64)
-        nz = deg > 0
-        dinv[nz] = 1.0 / np.sqrt(deg[nz])
-        off = -(dinv[u] * dinv[v])
-        diag = np.ones(n, dtype=np.float64)
-    elif kind == "unnormalized":
-        off = -np.ones(u.size, dtype=np.float64)
-        diag = deg
-    else:
-        raise ValueError(f"unknown laplacian kind: {kind!r}")
     rows = np.concatenate([u, v, diag_idx])
     cols = np.concatenate([v, u, diag_idx])
-    data = np.concatenate([off, off, diag])
+    if kind == "normalized":
+        data = normalized_laplacian_entries(deg, rows, cols)
+    elif kind == "unnormalized":
+        data = np.concatenate([-np.ones(2 * u.size), deg.astype(np.float64)])
+    else:
+        raise ValueError(f"unknown laplacian kind: {kind!r}")
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -184,13 +191,18 @@ def edge_homophily(g: Graph) -> float:
     return float(np.mean(lu[both] == lv[both]))
 
 
+def class_count(g: Graph) -> int:
+    """g.n_classes, or one more than the largest label when it is not recorded."""
+    return g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
+
+
 def kshot_split(g: Graph, k: int, seed: int) -> DatasetSplit:
     """Sample K labeled nodes per class; split the rest 50/50 into val/test."""
     if g.labels is None:
         raise ValueError("labels absent")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_classes = g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
+    n_classes = class_count(g)
     rng = np.random.default_rng(seed)
     shots = []
     taken = np.zeros(g.n_nodes, dtype=bool)

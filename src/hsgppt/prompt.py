@@ -21,16 +21,17 @@ pieces, the mixed embeddings and the logits on those rows alone. The filter
 engine runs each step on the ball of rows that later steps read
 (bank_filter_apply with rows). Validation, predict() and prompted_encode()
 read every row and take the full path (beta_filter_apply). L' is built one
-way for both, PromptedGraph.laplacian: the rows a filter reads are assembled
-from the base graph's Laplacian and the prompt wiring (_PromptedRows), so the
-whole prompted Laplacian is never built for training. The tests keep the
-build from the combined edge list (laplacian_from_edges) as the oracle.
+way for both, PromptedGraph.laplacian: each row a filter reads is its base
+Laplacian row followed by its row of one wiring CSR built from the mask and
+the prompt block, valued by the normalization rule that laplacian_from_edges
+also uses, so the whole prompted Laplacian is never built for training. The
+tests keep the build from the combined edge list as the oracle.
 
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
 plus the inner edges, and a branch whose wiring equals that of a branch
 already built on the same rows reuses its Laplacian (rows), G_p and base
-term, so a training epoch whose wiring is unchanged builds no edge array and
+term, so a training epoch whose wiring is unchanged builds no Laplacian and
 runs no sparse product at all.
 """
 
@@ -44,7 +45,15 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import DatasetError, DatasetSplit, Graph, edge_homophily, laplacian
+from .graph import (
+    DatasetError,
+    DatasetSplit,
+    Graph,
+    class_count,
+    edge_homophily,
+    laplacian,
+    normalized_laplacian_entries,
+)
 # laplacian_from_edges stays bound here for callers that wrap it through this
 # module (bench/tracing.py does); nothing here calls it
 from .graph import laplacian_from_edges  # noqa: F401
@@ -238,8 +247,8 @@ class PromptedGraph:
     def cross_edges(self) -> np.ndarray:
         """(prompt index, original node index) pairs of the mask, row-major.
 
-        Built on first use, so a wiring whose operators are already cached
-        never builds them.
+        Read by the benchmark's tracer (bench/tracing.py) and the tests;
+        nothing in the package reads them.
         """
         return _mask_edges(self.mask)
 
@@ -251,12 +260,38 @@ class PromptedGraph:
         """The normalized L' (n_total x n_total CSR) on the rows within radius
         hops of rows, or on every row when rows is None; other rows are empty.
 
-        base_csr is the base graph's normalized Laplacian; the rows are
-        assembled from it and the wiring (_PromptedRows).
+        base_csr is the base graph's normalized Laplacian. Each row of L' is
+        its row there (none for a prompt) followed by its wiring row: a base
+        node's prompts, or a prompt's nodes and then its prompt-block row,
+        diagonal included. Both segments are ascending, as in the CSR that
+        laplacian_from_edges sorts, and every row holds its diagonal, so a
+        node's degree is its row length less one. The edge arrays must be
+        canonical (no repeated pair).
         """
-        assembled = _PromptedRows(base_csr, self)
-        q = np.arange(self.n_total) if rows is None else assembled.ball(rows, radius)
-        return assembled.laplacian(q)
+        n, n_total = self.base.n_nodes, self.n_total
+        block = np.eye(n_total - n, dtype=bool)
+        iu, ju = self.inner_edges.T
+        block[iu, ju] = block[ju, iu] = True
+        wiring = np.concatenate([self.mask, block], axis=1)
+        wire_ptr = _pointers(np.concatenate([self.mask.sum(axis=0), wiring.sum(axis=1)]))
+        wire_cols = np.concatenate([n + np.nonzero(self.mask.T)[1], np.nonzero(wiring)[1]])
+        base_ptr = np.concatenate([base_csr.indptr, np.full(n_total - n, base_csr.indptr[-1])])
+
+        def structure(q):
+            return _two_segment_rows(base_ptr, base_csr.indices, wire_ptr, wire_cols, q)
+
+        if rows is None:
+            q = np.arange(n_total)
+        else:
+            q = np.unique(rows)
+            for _ in range(radius):
+                q = np.unique(structure(q)[1])
+        lens, cols = structure(q)
+        deg = np.diff(base_ptr) + np.diff(wire_ptr) - 1
+        data = normalized_laplacian_entries(deg, np.repeat(q, lens), cols)
+        counts = np.zeros(n_total, dtype=np.int64)
+        counts[q] = lens
+        return sp.csr_matrix((data, cols, _pointers(counts)), shape=(n_total, n_total))
 
 
 def insert_prompt(
@@ -313,80 +348,6 @@ def _two_segment_rows(ptr_a, a, ptr_b, b, q):
 
 def _pointers(counts):
     return np.concatenate([[0], np.cumsum(counts)])
-
-
-class _PromptedRows:
-    """Rows of a prompted graph's normalized Laplacian, built from pieces.
-
-    The pieces are the base Laplacian's CSR structure (one per graph), the
-    cross pairs sorted by (node, prompt) and by (prompt, node), and the
-    prompt block with its diagonal. A base row is its base columns then its
-    prompts (all >= n); a prompt row is its nodes then its prompt block
-    columns. Both come out in ascending order, as in the CSR that
-    laplacian_from_edges sorts, and each value is the product it forms:
-    -(d_i^-1/2 d_j^-1/2) off the diagonal, 1 on it, with the prompted
-    degrees (base degrees plus a bincount of the cross endpoints). Every
-    base row holds its diagonal and one entry per neighbour, so its length
-    less one is the base degree. The rows equal those of the Laplacian that
-    laplacian_from_edges builds from the combined edge list bit for bit (the
-    tests' oracle). The edge arrays must be canonical (no repeated pair).
-    """
-
-    def __init__(self, base_csr, pg: PromptedGraph):
-        n = pg.base.n_nodes
-        n_p = pg.n_total - n
-        p, v = pg.cross_edges[:, 0], pg.cross_edges[:, 1]
-        iu, ju = pg.inner_edges[:, 0], pg.inner_edges[:, 1]
-        self.n = n
-        self.n_total = pg.n_total
-        self.base_ptr, self.base_cols = base_csr.indptr, base_csr.indices
-        self.node_ptr = _pointers(np.bincount(v, minlength=n))
-        self.node_prompts = n + p[np.lexsort((p, v))]
-        prompt_deg = np.bincount(p, minlength=n_p)
-        self.prompt_ptr = _pointers(prompt_deg)
-        self.prompt_nodes = v[np.lexsort((v, p))]
-        block = np.eye(n_p, dtype=bool)
-        block[iu, ju] = block[ju, iu] = True
-        bi, bj = np.nonzero(block)
-        self.block_ptr = _pointers(np.bincount(bi, minlength=n_p))
-        self.block_cols = n + bj
-        deg = np.concatenate(
-            [
-                np.diff(self.base_ptr) - 1 + np.bincount(v, minlength=n),
-                prompt_deg + np.bincount(iu, minlength=n_p) + np.bincount(ju, minlength=n_p),
-            ]
-        ).astype(np.float64)
-        self.dinv = np.zeros(pg.n_total)
-        nz = deg > 0
-        self.dinv[nz] = 1.0 / np.sqrt(deg[nz])
-
-    def structure(self, q):
-        """(lengths, columns) of the sorted rows q of the prompted graph."""
-        split = np.searchsorted(q, self.n)
-        lb, cb = _two_segment_rows(
-            self.base_ptr, self.base_cols, self.node_ptr, self.node_prompts, q[:split]
-        )
-        lp, cp = _two_segment_rows(
-            self.prompt_ptr, self.prompt_nodes, self.block_ptr, self.block_cols, q[split:] - self.n
-        )
-        return np.concatenate([lb, lp]), np.concatenate([cb, cp])
-
-    def ball(self, rows, radius):
-        """N^radius[rows], sorted (every row lists its own diagonal)."""
-        q = np.unique(rows)
-        for _ in range(radius):
-            q = np.unique(self.structure(q)[1])
-        return q
-
-    def laplacian(self, q) -> sp.csr_matrix:
-        """(n_total x n_total) CSR holding rows q (sorted) of L'; other rows empty."""
-        lens, cols = self.structure(q)
-        at = np.repeat(q, lens)
-        data = -(self.dinv[at] * self.dinv[cols])
-        data[cols == at] = 1.0
-        counts = np.zeros(self.n_total, dtype=np.int64)
-        counts[q] = lens
-        return sp.csr_matrix((data, cols, _pointers(counts)), shape=(self.n_total, self.n_total))
 
 
 class _EdgeSetOperators:
@@ -625,7 +586,7 @@ def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
     frozen.verify()
     if g.labels is None:
         raise ValueError("labels absent")
-    n_classes = g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
+    n_classes = class_count(g)
     state = init_state(g, frozen, cfg, n_classes)
     params = state.tunable_params()
     opt = Adam(params, lr=cfg.lr)

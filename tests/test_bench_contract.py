@@ -2,15 +2,19 @@
 
 bench/tracing.py wraps package functions by (module, attribute path). A name
 it lists that the package renames or deletes would only fail the benchmark's
-own tests, so this checks each one where the tracer looks it up, and the call
-shape of the one function whose arguments the tracer reads.
+own tests, so this checks each one where the tracer looks it up, the call
+shape of the one function whose arguments the tracer reads, and the
+attributes it reads off what the package returns.
 """
 
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import hsgppt.prompt
+from hsgppt.graph import Graph
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -35,3 +39,12 @@ def test_forward_keeps_the_call_shape_the_tracer_reads():
     # positionally and reads train, which nothing in the package reads
     params = list(inspect.signature(hsgppt.prompt._forward).parameters)
     assert params == ["g", "frozen", "state", "branches", "train"]
+
+
+def test_prompted_graphs_keep_the_attributes_the_tracer_reads():
+    # the insert_prompt hook counts out.cross_edges and out.inner_edges; the
+    # forward hook compares b.prompted.cross_edges and .inner_edges across epochs
+    g = Graph("g", np.array([[0, 1], [1, 2]]), np.eye(3))
+    pg = hsgppt.prompt.insert_prompt(g, 10.0 * np.eye(3)[:2], 0.2, 0.9)
+    assert pg.cross_edges.shape == (2, 2) and pg.inner_edges.shape == (1, 2)
+    assert "prompted" in hsgppt.prompt._Branch.__slots__

@@ -150,6 +150,21 @@ def test_eval_deterministic_report(tmp_path):
     assert parsed["mode"] == "transductive" and len(parsed["per_seed"]) == 2
 
 
+def test_eval_workers_label_phase_times_as_sums_over_seeds(tmp_path, capsys):
+    # two workers run the seeds at once, so only "total" is a wall clock
+    data = gen(tmp_path)
+    out = tmp_path / "ev"
+    assert run("eval", "--mode", "transductive", "--data", data, "--out", out,
+               "--seeds", "0,1", "--k", 2, "--hidden", 8, "--pretrain-epochs", 2,
+               "--patience", 2, "--tune-epochs", 2, "--eval-every", 2, "--n-prompt", 3,
+               "--workers", 2) == EXIT_OK
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"total", "pretrain_seed_sum", "tune_seed_sum"}
+    err = capsys.readouterr().err
+    phases = [line.split()[1] for line in err.splitlines() if line.startswith("time ")]
+    assert sorted(phases) == ["pretrain_seed_sum", "total", "tune_seed_sum"]
+
+
 def test_eval_inductive(tmp_path):
     src = gen(tmp_path, "src", n=50, h=0.7, seed=0, f=8)
     tgt = gen(tmp_path, "tgt", n=40, h=0.3, seed=1, f=8)

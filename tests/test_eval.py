@@ -120,7 +120,7 @@ def test_run_transductive_report_shape_and_determinism():
     assert rep1.std_f1 == pytest.approx(np.std([r.macro_f1 for r in rep1.per_seed], ddof=1))
     assert rep1.to_json_dict() == rep2.to_json_dict()  # timings excluded
     assert "wall_clock" not in rep1.to_json_dict()
-    assert set(rep1.wall_clock) == {"pretrain", "tune"}
+    assert set(rep1.wall_clock) == {"pretrain_seed_sum", "tune_seed_sum"}
     assert all(v > 0 for v in rep1.wall_clock.values())
     single = run_transductive(g, cfg, seeds=[0])
     assert single.std_f1 is None and single.std_accuracy is None
@@ -154,7 +154,7 @@ def test_run_inductive_workers_match_serial():
     fanned = run_inductive(src, tgt, cfg, seeds=[0, 1], workers=2)
     assert [vars(r) for r in serial.per_seed] == [vars(r) for r in fanned.per_seed]
     assert serial.to_json_dict() == fanned.to_json_dict()
-    assert set(fanned.wall_clock) == {"pretrain", "tune"}
+    assert set(fanned.wall_clock) == {"pretrain_seed_sum", "tune_seed_sum"}
 
 
 def test_ablation_rows_and_determinism():

@@ -250,23 +250,23 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
     split = kshot_split(g, 2, seed=0)
     full_builds, row_builds, row_filters = [], [], []
     build = prompt_mod.laplacian_from_edges
-    assemble = prompt_mod._PromptedRows.laplacian
+    assemble = prompt_mod.PromptedGraph.laplacian
     bank = prompt_mod.bank_filter_apply
 
     def counting(edges, n_nodes, kind="normalized"):
         full_builds.append(n_nodes)
         return build(edges, n_nodes, kind)
 
-    def counting_rows(self, q):
-        row_builds.append(q.size)
-        return assemble(self, q)
+    def counting_rows(self, base_csr, rows=None, radius=0):
+        row_builds.append(rows)
+        return assemble(self, base_csr, rows, radius)
 
     def counting_bank(L, filters, x, rows=None):
         row_filters.append(rows is not None)
         return bank(L, filters, x, rows=rows)
 
     monkeypatch.setattr(prompt_mod, "laplacian_from_edges", counting)
-    monkeypatch.setattr(prompt_mod._PromptedRows, "laplacian", counting_rows)
+    monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", counting_rows)
     monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
     epochs = _record_training_branches(monkeypatch)
     # thresholds below every sigmoid score wire every pair, every epoch
@@ -291,34 +291,38 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
     assert len(row_builds) == 1 and not full_builds
 
 
+def _assert_same_csr(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
 def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
     rng = np.random.default_rng(9)
+    # (N_p, tau_inner, tau_cross); tau_cross 0 wires every pair, N_p 0 none
+    cases = [(5, 0.5, 0.5), (5, 1.0, 0.5), (5, 0.5, 1.0), (5, 1.0, 1.0), (5, 0.5, 0.0), (0, 0.5, 0.5)]
     for h in (0.2, 0.8):
         g0, frozen = tiny_setup(n=60, f=8, h=h, seed=1)
         keep = (g0.edges != 5).all(axis=1)  # node 5 left isolated
         g = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
         base = laplacian(g)
         P = rng.standard_normal((5, g.feature_dim))
-        for tau_inner, tau_cross in ((0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (1.0, 1.0)):
-            pg = insert_prompt(g, P, tau_inner, tau_cross)
-            assert (pg.cross_edges.size > 0) == (tau_cross < 1.0)
-            assert (pg.inner_edges.size > 0) == (tau_inner < 1.0)
+        for n_p, tau_inner, tau_cross in cases:
+            pg = insert_prompt(g, P[:n_p], tau_inner, tau_cross)
+            assert (pg.cross_edges.size > 0) == (n_p > 0 and tau_cross < 1.0)
+            assert (pg.inner_edges.size > 0) == (n_p > 1 and tau_inner < 1.0)
+            if tau_cross == 0.0:
+                assert pg.cross_edges.shape[0] == n_p * g.n_nodes
             full = reference_laplacian(pg)
-            assembled = prompt_mod._PromptedRows(base, pg)
-            for q in (np.arange(pg.n_total), np.array([0, 5, 17, 60, 63]), np.array([61])):
-                got = assembled.laplacian(q)
-                assert got.shape == full.shape
-                assert np.array_equal(_held_rows(got), q)
-                a, b = got[q], full[q]
-                assert np.array_equal(a.indptr, b.indptr)
-                assert np.array_equal(a.indices, b.indices)
-                assert np.array_equal(a.data, b.data)
+            _assert_same_csr(pg.laplacian(base), full)
+            some = [np.array([0, 5, 17, 60, 63]), np.array([61])] if n_p else [np.array([0, 5, 17])]
+            for q in [np.arange(pg.n_total), *some]:
                 for radius in range(3):
                     ball = _ball(full, q, radius)
-                    assert np.array_equal(assembled.ball(q, radius), ball)
-                    held = pg.laplacian(base, q, radius)
-                    assert np.array_equal(_held_rows(held), ball)
-                    assert (held[ball] != full[ball]).nnz == 0
+                    got = pg.laplacian(base, q, radius)
+                    assert got.shape == full.shape
+                    assert np.array_equal(_held_rows(got), ball)
+                    _assert_same_csr(got[ball], full[ball])
 
 
 def _full_row_reference(g, frozen, split, cfg):
@@ -596,13 +600,19 @@ def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_grap
 
 
 def _record_epoch_work(monkeypatch):
-    """Per training epoch, the edge arrays and filter passes its build made."""
-    work = [{"edges": 0, "filters": 0}]
+    """Per training epoch, the edge arrays, prompted Laplacians and filter
+    passes its build made."""
+    work = [{"edges": 0, "laplacians": 0, "filters": 0}]
     edges, bank, forward = prompt_mod._mask_edges, prompt_mod.bank_filter_apply, prompt_mod._forward
+    assemble = prompt_mod.PromptedGraph.laplacian
 
     def counting_edges(mask):
         work[-1]["edges"] += 1
         return edges(mask)
+
+    def counting_laplacian(self, base_csr, rows=None, radius=0):
+        work[-1]["laplacians"] += 1
+        return assemble(self, base_csr, rows, radius)
 
     def counting_bank(L, filters, x, rows=None):
         work[-1]["filters"] += 1
@@ -611,10 +621,11 @@ def _record_epoch_work(monkeypatch):
     def spy(g, frozen, state, branches, train):
         if train:
             work[-1]["branches"] = list(branches)
-            work.append({"edges": 0, "filters": 0})
+            work.append({"edges": 0, "laplacians": 0, "filters": 0})
         return forward(g, frozen, state, branches, train)
 
     monkeypatch.setattr(prompt_mod, "_mask_edges", counting_edges)
+    monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", counting_laplacian)
     monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
     monkeypatch.setattr(prompt_mod, "_forward", spy)
     return work
@@ -633,12 +644,14 @@ def test_unchanged_wiring_builds_no_edges_and_runs_no_sparse_product(benchmark_g
     epochs = work[:6]
     # the per-filter prompts start equal, so the first build wires once
     assert len({br.prompted.key for br in epochs[0]["branches"]}) == 1
-    assert epochs[0]["edges"] == 1 and epochs[0]["filters"] == frozen.model.bank.size
+    assert epochs[0]["laplacians"] == 1 and epochs[0]["edges"] == 0
+    assert epochs[0]["filters"] == frozen.model.bank.size
     unchanged = 0
     for prev, cur in zip(epochs, epochs[1:]):
         new = _new_wirings(prev, cur)
-        # one edge array per new wiring; a wiring seen last epoch reuses its operators
-        assert cur["edges"] == len(new)
+        # one L' per new wiring, built without an edge array; a wiring seen
+        # last epoch reuses its operators
+        assert cur["laplacians"] == len(new) and cur["edges"] == 0
         for br, old in zip(cur["branches"], prev["branches"]):
             if br.prompted.key == old.prompted.key:
                 assert br.lap is old.lap and br.gp is old.gp and br.base is old.base
@@ -658,7 +671,7 @@ def test_changing_wiring_gets_fresh_operators_every_epoch(monkeypatch):
     epochs = work[:8]
     changed = 0
     for prev, cur in zip(epochs, epochs[1:]):
-        assert cur["edges"] == len(_new_wirings(prev, cur))
+        assert cur["laplacians"] == len(_new_wirings(prev, cur)) and cur["edges"] == 0
         for br, old in zip(cur["branches"], prev["branches"]):
             pg = br.prompted
             want = reference_cross_edges(pg.prompt_features, g.features, tau)
