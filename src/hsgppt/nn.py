@@ -73,7 +73,8 @@ class LinearLayer:
         inputs before any backward runs.
         """
         x = np.asarray(x, dtype=np.float64)
-        s = x @ self.weight.value + self.bias.value
+        s = x @ self.weight.value
+        s += self.bias.value
         out, act_vjp = self.activate(s)
 
         def vjp(dout, project=True):
@@ -86,10 +87,11 @@ class LinearLayer:
             else:
                 neg = s < 0
                 ds = act_vjp(dout, neg)
-                # one gather of the products dout[neg] * s[neg] in row-major
-                # order, as a boolean compaction gives them (so the sum is
-                # the same bit for bit), at a fraction of its cost
-                self.alpha.grad += np.sum((dout * s).ravel().take(np.flatnonzero(neg)))
+                # the products dout[neg] * s[neg] in row-major order, as a
+                # boolean compaction lists them (so the sum is the same bit
+                # for bit), from two gathers rather than a full dout * s
+                at = np.flatnonzero(neg)
+                self.alpha.grad += np.sum(dout.ravel().take(at) * s.ravel().take(at))
             self.weight.grad += x.T @ ds
             self.bias.grad += ds.sum(axis=0)
             return ds @ self.weight.value.T if project else ds

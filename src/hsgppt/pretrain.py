@@ -6,11 +6,24 @@ learnable mixing weights, mean-pooled into a graph summary, and a bilinear
 discriminator is trained to tell true node embeddings from embeddings of
 row-permuted features. Loss is the mean binary cross-entropy over all
 (filter, node) pairs.
+
+`pretrain` runs on two threads. The negatives do not depend on the
+parameters, so one worker thread forms the next epoch's row-permuted copy
+and its filtered views (sparse products, which release the GIL) while the
+calling thread runs the dense forward and backward. numpy's OpenBLAS is
+pinned to 1 thread meanwhile, and its count is restored on exit: its idle
+workers would otherwise spin on the core the filter worker needs. Pinning
+also fixes the reduction order of x.T @ ds, so a checkpoint's bits do not
+depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +104,12 @@ class Encoded:
     summary: np.ndarray  # (hidden,)
 
 
-def filtered_views(L, bank: FilterBank, features: np.ndarray) -> list:
-    """The bank's filtered feature matrices, computed once and reused."""
-    return bank_filter_apply(L, bank.filters, features)
+def filtered_views(L, bank: FilterBank, features: np.ndarray, overwrite_x=False) -> list:
+    """The bank's filtered feature matrices, computed once and reused.
+
+    overwrite_x lets the engine write into features (see bank_filter_apply).
+    """
+    return bank_filter_apply(L, bank.filters, features, overwrite_x=overwrite_x)
 
 
 def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
@@ -108,7 +124,7 @@ def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
     return Encoded(per_filter=per_filter, integrated=integrated, summary=integrated.mean(axis=0))
 
 
-def _forward_scores(model, filtered_pos, filtered_neg):
+def _forward_scores(model, filtered_pos, filtered_neg, after_first_branch=None):
     """Loss over both corruption branches; its backward accumulates the grads.
 
     Each n x hidden array lives only while it is read. The positive branch
@@ -117,6 +133,10 @@ def _forward_scores(model, filtered_pos, filtered_neg):
     is dropped. The discriminator grad and dsummary accumulate in the order
     p0, n0, p1, n1, ...; each encoder gets its negative term before its
     positive one, which from zeroed grads is the same sum bit for bit.
+
+    filtered_neg is a list this call empties: each negative view's slot is
+    cleared when its branch starts, so the view is freed with the branch.
+    after_first_branch() runs once the first negative branch is freed.
     """
     n = filtered_pos[0].shape[0]
     m_pairs = model.bank.size * n
@@ -132,9 +152,11 @@ def _forward_scores(model, filtered_pos, filtered_neg):
 
     pos_scores, neg_scores, pos_dz = [], [], []
     dsummary = np.zeros_like(summary)
-    for enc, (zp, _), hn in zip(model.encoders, pos_out, filtered_neg):
+    for i, (enc, (zp, _)) in enumerate(zip(model.encoders, pos_out)):
         sp_, vjp_p = disc.apply(zp, summary)
+        hn, filtered_neg[i] = filtered_neg[i], None
         zn, enc_vjp = enc.apply(hn)
+        del hn  # enc_vjp holds the view until the branch is dropped
         sn_, vjp_n = disc.apply(zn, summary)
         pos_scores.append(sp_)
         neg_scores.append(sn_)
@@ -150,6 +172,8 @@ def _forward_scores(model, filtered_pos, filtered_neg):
         enc_vjp(np.outer(dpre, ws), project=False)
         # drop this branch before the next filter's is formed
         del zn, enc_vjp, vjp_p, vjp_n
+        if i == 0 and after_first_branch is not None:
+            after_first_branch()
     loss = bce_pair_loss(np.concatenate(pos_scores), np.concatenate(neg_scores))
 
     dintegrated = np.broadcast_to(dsummary / n, (n, summary.size))
@@ -174,9 +198,48 @@ def contrastive_loss_fn(model: PretrainedModel, g: Graph, corrupted: np.ndarray)
     def loss_fn():
         for p in params:
             p.zero_grad()
-        return _forward_scores(model, pos, neg)
+        return _forward_scores(model, pos, list(neg))
 
     return loss_fn
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy links a BLAS that does not export them."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    set_.restype = None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on 1 thread inside the block, its count restored after.
+
+    The count is process-wide: pretrain calls that overlap in threads of one
+    process would restore each other's counts.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def pretrain(g: Graph, cfg: PretrainConfig):
@@ -184,32 +247,49 @@ def pretrain(g: Graph, cfg: PretrainConfig):
 
     A fresh row permutation of the features is drawn every epoch. Early
     stopping tracks the best training loss with the configured patience.
+    A worker thread forms each epoch's negative views while the epoch before
+    it runs, and BLAS runs on 1 thread (module docstring); both end with the
+    call, whether it returns or raises.
     """
     bank = cfg.bank()
     model = PretrainedModel(bank, g.feature_dim, cfg.hidden_dim, seed=cfg.seed)
     L = laplacian(g, "normalized")
-    pos = filtered_views(L, bank, g.features)  # constant across epochs
     opt = Adam(model.params(), lr=cfg.lr)
     history = []
     best_loss = np.inf
     best_epoch = -1
     best_state = None
-    for epoch in range(cfg.epochs):
-        neg = filtered_views(L, bank, corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch)))
-        for p in model.params():
-            p.zero_grad()
-        loss = _forward_scores(model, pos, neg)
-        del neg  # before the next epoch's views are formed
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite pre-training loss at epoch {epoch}")
-        history.append(float(loss))
-        if loss < best_loss:
-            best_loss = loss
-            best_epoch = epoch
-            best_state = [p.value.copy() for p in model.params()]
-        opt.step()
-        if epoch - best_epoch >= cfg.patience:
-            break
+
+    def negative_views(epoch):
+        corrupted = corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch))
+        return filtered_views(L, bank, corrupted, overwrite_x=True)
+
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as worker:
+
+        def prefetch():
+            # called once this epoch's first negative branch is freed, so at
+            # most one view set more than the serial loop's is alive
+            nonlocal pending
+            if epoch + 1 < cfg.epochs:
+                pending = worker.submit(negative_views, epoch + 1)
+
+        pending = worker.submit(negative_views, 0) if cfg.epochs > 0 else None
+        pos = filtered_views(L, bank, g.features)  # constant across epochs
+        for epoch in range(cfg.epochs):
+            neg, pending = pending.result(), None
+            for p in model.params():
+                p.zero_grad()
+            loss = _forward_scores(model, pos, neg, after_first_branch=prefetch)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite pre-training loss at epoch {epoch}")
+            history.append(float(loss))
+            if loss < best_loss:
+                best_loss = loss
+                best_epoch = epoch
+                best_state = [p.value.copy() for p in model.params()]
+            opt.step()
+            if epoch - best_epoch >= cfg.patience:
+                break
     if best_state is not None:
         for p, v in zip(model.params(), best_state):
             p.value[...] = v

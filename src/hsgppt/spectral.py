@@ -101,7 +101,7 @@ class FilterBank:
         return len(self.filters)
 
 
-def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list:
+def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None, overwrite_x=False) -> list:
     """[g_{k,r}(L) x for (k, r) in filters], from one power series.
 
     With T_j = (L/2)^j x and D_{k,r} = (L/2)^k (I - L/2)^r x, the table
@@ -113,7 +113,9 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list
     and entry once nothing reads it. An output is the same operations on the
     same values whichever other kernels are asked for, so it equals its
     kernel run alone bit for bit. x may be a vector or a matrix; filters may
-    be in any order, and the input is never written to.
+    be in any order. The input is never written to unless overwrite_x, which
+    lets x's last read write in place into it (a float64 array the caller
+    gives up), so a full order-2 bank holds 3 arrays of x's size, not 4.
 
     The table subtracts nearly equal terms, so accuracy falls with the
     order. Against an eigenbasis oracle (n=400), the error relative to the
@@ -155,7 +157,7 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None) -> list
         if reads[e]:
             return table[e], False
         y = table.pop(e)
-        return y, y is not x
+        return y, overwrite_x or y is not x
 
     t = x
     for j in range(top + 1):

@@ -1,7 +1,13 @@
 """Contrastive pre-training: loss oracle, loop behavior, persistence."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,17 +174,18 @@ def test_loss_and_grads_equal_the_reference_bit_for_bit(bank):
 
 
 # content_hash and loss history (float.hex) of pretrain(order 2, hidden 64,
-# 3 epochs, seed 0) on each benchmark graph. Recorded again when the filter
-# bank moved from the Bernstein ladder to one power series with a difference
-# table: the filtered views moved by ~1e-15, which changed both hashes; the
-# loss histories did not move.
+# 3 epochs, seed 0) on each benchmark graph. Recorded again when pretrain
+# began pinning OpenBLAS to 1 thread. The encoder weight gradient x.T @ ds
+# reduces over n in an order set by the BLAS thread count, so the earlier
+# hashes held only at 2 threads. These are the hashes the unpinned code gave
+# under OPENBLAS_NUM_THREADS=1; the loss histories did not move.
 PINNED_PRETRAIN = {
     "csbm_n5000_h0.2_seed0": (
-        "ad519edb4245f905d92e6e12c5b4288e86e0844bac78452dd8a708ef84ca0ab4",
+        "251eb7a93ae546958f0969597ff5f4acb81a6515324301f00b1c2b0b249026a7",
         ["0x1.62e44a4bbf497p+0", "0x1.62e3d956027e5p+0", "0x1.62e37ce5b2518p+0"],
     ),
     "csbm_n5000_h0.8_seed0": (
-        "2f66fa64572669b6f84c3e9804fcf6a42615125b1ae2f399afaf928b7c8d295c",
+        "e23d3c150aa8f195ec5ca491fcc7bf3d42b402f1c1623bfc7d85afd551628698",
         ["0x1.62e4883abe9dbp+0", "0x1.62e3ec23c1f5fp+0", "0x1.62e40618eea60p+0"],
     ),
 }
@@ -191,6 +198,80 @@ def test_pretrain_on_benchmark_graphs_matches_pinned_bits(benchmark_graph):
     want_hash, want_hist = PINNED_PRETRAIN[g.name]
     assert [x.hex() for x in hist] == want_hist
     assert content_hash(model) == want_hash
+
+
+_PINNED_RUN = """
+import json
+from hsgppt.csbm import CsbmParams, generate
+from hsgppt.pretrain import PretrainConfig, content_hash, pretrain
+g = generate(CsbmParams(n=5000, f=128, d_avg=40.0, h=0.2, mu=10.0, seed=0))
+model, hist = pretrain(g, PretrainConfig(order=2, hidden_dim=64, epochs=3, patience=3, seed=0))
+print(json.dumps([content_hash(model), [x.hex() for x in hist]]))
+"""
+
+
+def test_pretrain_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count at start-up, so each count needs its
+    # own process. x.T @ ds gives different bits at 1 and 2 threads on the
+    # n=5000 graph; pretrain runs BLAS on 1 thread whatever the environment
+    # says, so both processes give the pinned checkpoint.
+    src = str(Path(importlib.import_module("hsgppt").__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _PINNED_RUN], env=env, capture_output=True, text=True, check=True
+        )
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    want_hash, want_hist = PINNED_PRETRAIN["csbm_n5000_h0.2_seed0"]
+    assert runs == [[want_hash, want_hist]] * 2
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def _nan_loss(*args):
+    return float("nan")
+
+
+@pytest.mark.parametrize("ending", ["early_stop", "numeric_error", "worker_raises"])
+def test_pretrain_ends_its_worker_and_restores_blas_threads(monkeypatch, ending):
+    pre = importlib.import_module("hsgppt.pretrain")
+    control = pre._blas_thread_control()
+    get, set_ = control if control is not None else (lambda: None, lambda count: None)
+    before = get()
+    set_(2)  # not the pinned count, so a pin left in place shows
+    seen = []  # (thread, BLAS threads) of each corruption drawn
+
+    def corrupt(g, seed):
+        seen.append((threading.get_ident(), get()))
+        if ending == "worker_raises" and len(seen) == 2:
+            raise WorkerFailure("epoch 1's negatives")
+        return corrupt_features(g, seed)
+
+    monkeypatch.setattr(pre, "corrupt_features", corrupt)
+    if ending == "numeric_error":
+        monkeypatch.setattr(pre, "bce_pair_loss", _nan_loss)
+    g = small_graph(n=30)
+    cfg = PretrainConfig(order=1, hidden_dim=4, epochs=50, patience=0 if ending == "early_stop" else 50)
+    threads = threading.active_count()
+    try:
+        if ending == "early_stop":
+            _, hist = pretrain(g, cfg)
+            assert len(hist) == 1
+        else:
+            with pytest.raises({"numeric_error": NumericError, "worker_raises": WorkerFailure}[ending]):
+                pretrain(g, cfg)
+        blas_after = get()
+    finally:
+        set_(before)
+    # epoch 1's negatives were drawn on the worker thread while epoch 0 ran
+    assert len(seen) == 2 and seen[1][0] != threading.get_ident()
+    assert threading.active_count() == threads
+    if control is not None:
+        assert [b for _, b in seen] == [1, 1] and blas_after == 2
 
 
 def test_pretrain_traced_peak_holds_one_negative_branch():
@@ -266,7 +347,9 @@ def test_pretrain_bit_identical_to_per_filter_views(monkeypatch):
             m.setattr(
                 importlib.import_module("hsgppt.pretrain"),
                 "filtered_views",
-                lambda L, bank, x: [beta_filter_apply(L, k, r, x) for k, r in bank.filters],
+                lambda L, bank, x, overwrite_x=False: [
+                    beta_filter_apply(L, k, r, x) for k, r in bank.filters
+                ],
             )
             alone, hist_alone = pretrain(g, cfg)
         assert hist_shared == hist_alone

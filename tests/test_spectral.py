@@ -165,6 +165,10 @@ def test_bank_engine_matches_per_kernel_ladder(monkeypatch):
             for (k, r), y in zip(filters, got):
                 assert_near_ladder(L, k, r, x, y)
                 assert np.array_equal(beta_filter_apply(L, k, r, x), y)
+            # an input the caller gives up may hold an output: same bits
+            owned = x.copy()
+            got_owned = bank_filter_apply(L, filters, owned, overwrite_x=True)
+            assert all(np.array_equal(a, b) for a, b in zip(got_owned, got))
 
 
 def test_bank_engine_single_kernels_and_guards(monkeypatch):
@@ -188,19 +192,23 @@ def test_bank_engine_single_kernels_and_guards(monkeypatch):
 
 def test_bank_engine_holds_no_more_than_its_outputs():
     # each T_j and table entry is dropped once nothing reads it, so a full
-    # bank of order C never holds more than its C + 1 outputs' worth
+    # bank of order C never holds more than its C + 1 outputs' worth; with
+    # overwrite_x one of them lives in the input's buffer
     g = generate(CsbmParams(n=2000, f=3, d_avg=10.0, h=0.4, mu=4.0, seed=3))
     L = laplacian(g, "normalized")
     x = np.random.default_rng(5).standard_normal((2000, 32))
     for order in range(1, 6):
-        tracemalloc.start()
-        try:
-            out = bank_filter_apply(L, FilterBank.full(order).filters, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(out) == order + 1
-        assert peak <= (order + 1) * x.nbytes + 2**16, (order, peak)
+        for overwrite_x in (False, True):
+            owned = x.copy()
+            tracemalloc.start()
+            try:
+                out = bank_filter_apply(L, FilterBank.full(order).filters, owned, overwrite_x=overwrite_x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out) == order + 1
+            arrays = order if overwrite_x else order + 1
+            assert peak <= arrays * x.nbytes + 2**16, (order, overwrite_x, peak)
 
 
 def prompted_like_laplacian(rng, n=80, n_p=4):
