@@ -306,6 +306,8 @@ def _load_data(cfg, key="data") -> Graph:
 
 
 def _workers(cfg) -> int:
+    if cfg["workers"] < 0:
+        raise CliUsageError(f"--workers must be 0 or more, not {cfg['workers']}")
     if cfg["workers"] > 0:
         return cfg["workers"]
     env = os.environ.get("HSGPPT_THREADS", "")
@@ -455,16 +457,17 @@ def _cmd_eval(cfg) -> int:
     _require(cfg, "out")
     seeds = _nonempty_list(cfg, "seeds", int)
     pipeline = _pipeline_config("eval", cfg, cfg["variant"])
+    workers = _workers(cfg)
     t0 = time.perf_counter()
     if cfg["mode"] == "transductive":
         _require(cfg, "data")
         g = _load_data(cfg)
-        report = evaluate.run_transductive(g, pipeline, seeds, workers=_workers(cfg))
+        report = evaluate.run_transductive(g, pipeline, seeds, workers=workers)
     else:
         _require(cfg, "source", "target")
         source = _load_data(cfg, "source")
         target = _load_data(cfg, "target")
-        report = evaluate.run_inductive(source, target, pipeline, seeds, workers=_workers(cfg))
+        report = evaluate.run_inductive(source, target, pipeline, seeds, workers=workers)
     report.wall_clock["total"] = time.perf_counter() - t0
     out = _out_dir(cfg)
     (out / "report.json").write_text(

@@ -93,9 +93,6 @@ class PretrainedModel:
         out.extend(self.discriminator.params())
         return out
 
-    def n_parameters(self) -> int:
-        return sum(p.value.size for p in self.params())
-
 
 @dataclass
 class Encoded:

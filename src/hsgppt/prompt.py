@@ -8,6 +8,11 @@ and a linear task head train; gradients reach the prompts through the
 filtered features and the normalization, never through the binary edge
 indicators (piecewise constant by construction). Edge sets are rebuilt from
 the current prompts at the start of every epoch and held fixed within it.
+A build (a training step, a validation pass, predict()) forms the cross
+scores of all its prompt graphs in one product [P_1; ...; P_K] @ X.T of the
+normalized rows, and each graph's insert_prompt thresholds its own rows of
+it, which are bit-equal to its own P @ X.T. A one-row graph forms its own
+product (_cross_scores says why).
 
 Each frozen encoder runs project -> filter -> bias and activation. The filter
 g(L') acts on rows and W on columns, so g(L')([X; P] W) = (g(L')[X; P]) W, and
@@ -46,7 +51,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import (
-    DatasetError,
     DatasetSplit,
     Graph,
     class_count,
@@ -146,9 +150,6 @@ class PromptState:
         out.extend(self.head.params())
         return out
 
-    def n_parameters(self) -> int:
-        return sum(p.value.size for p in self.tunable_params())
-
 
 def feature_stats(X: np.ndarray):
     """Per-column mean and population standard deviation."""
@@ -193,8 +194,12 @@ def build_inner_edges(P: np.ndarray, tau: float) -> np.ndarray:
     return np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
 
 
-def cross_mask(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
+def cross_mask(P: np.ndarray, X: np.ndarray, tau: float, scores=None) -> np.ndarray:
     """sigmoid(P @ X.T) > tau bit for bit, taking the sigmoid only near the cut.
+
+    scores, when given, must be P @ X.T bit for bit; a build passes each
+    prompt graph its rows of one stacked product (_cross_scores). None forms
+    the product here. The scores are read, never kept.
 
     With t = logit(tau) and delta = 1e-6 (1 + |t|), the exact sigmoid of a
     score above t + delta lies at least ~tau (1 - tau) delta above tau, and
@@ -207,7 +212,8 @@ def cross_mask(P: np.ndarray, X: np.ndarray, tau: float) -> np.ndarray:
     """
     if P.shape[0] == 0:
         return np.zeros((0, X.shape[0]), dtype=bool)
-    scores = P @ X.T
+    if scores is None:
+        scores = P @ X.T
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         return sigmoid(scores) > tau
@@ -295,14 +301,18 @@ class PromptedGraph:
 
 
 def insert_prompt(
-    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float
+    g: Graph, prompt_features: np.ndarray, tau_inner: float, tau_cross: float, scores=None
 ) -> PromptedGraph:
-    """Wire already-prepared prompt rows into the graph by both thresholds."""
+    """Wire already-prepared prompt rows into the graph by both thresholds.
+
+    One call wires one prompt graph. scores, when given, are the rows' cross
+    scores P @ g.features.T, formed by the caller (see cross_mask).
+    """
     P = np.asarray(prompt_features, dtype=np.float64)
     if P.ndim != 2 or (P.size and P.shape[1] != g.feature_dim):
         raise ValueError("prompt features must be (n_prompt, feature_dim)")
     inner = build_inner_edges(P, tau_inner)
-    mask = cross_mask(P, g.features, tau_cross)
+    mask = cross_mask(P, g.features, tau_cross, scores)
     key = (g.n_nodes + P.shape[0], np.packbits(mask).tobytes(), inner.tobytes())
     return PromptedGraph(g, P, inner, mask, key)
 
@@ -415,18 +425,45 @@ class _EdgeSetOperators:
         return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
 
 
-def _wire(g: Graph, prompt: PromptGraph, normalize: bool, stats, held=None):
-    """(PromptedGraph, normalization vjp or None) for the current prompt rows."""
-    P = prompt.features.value
-    norm_vjp = None
-    if P.shape[0] and normalize:
-        P_in, norm_vjp = normalize_prompt(P, *stats)
-    else:
-        P_in = P
+def _cross_scores(blocks, X):
+    """P @ X.T for each prompt block, read off one stacked product.
+
+    The blocks of two or more rows are stacked, [P_1; ...; P_K] @ X.T is
+    formed once, and each block gets its own rows of it, a view; those rows
+    are bit-equal to the block's own P @ X.T. A one-row block gets None, so
+    cross_mask forms its own product: numpy runs a single row as a
+    matrix-vector product, whose bits may differ from the stacked rows.
+    """
+    out = [None] * len(blocks)
+    multi = [i for i, P in enumerate(blocks) if P.shape[0] >= 2]
+    if multi:
+        stacked = np.concatenate([blocks[i] for i in multi]) @ X.T
+        cuts = np.cumsum([blocks[i].shape[0] for i in multi])[:-1]
+        for i, rows in zip(multi, np.split(stacked, cuts)):
+            out[i] = rows
+    return out
+
+
+def _wire(g: Graph, prompts, normalize: bool, stats, held=None):
+    """(PromptedGraph, normalization vjp or None) per prompt graph, wired
+    from its current rows or, given one held PromptedGraph per prompt graph,
+    on their edge sets."""
+    inserted = []
+    for prompt in prompts:
+        P = prompt.features.value
+        if P.shape[0] and normalize:
+            inserted.append(normalize_prompt(P, *stats))
+        else:
+            inserted.append((P, None))
     if held is not None:
         # edge structure held constant (gradient checking): only features move
-        return replace(held, prompt_features=P_in), norm_vjp
-    return insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross), norm_vjp
+        return [(replace(pg, prompt_features=P_in), vjp) for pg, (P_in, vjp) in zip(held, inserted)]
+    # the stacked scores die on return, before any operator is built
+    scores = _cross_scores([P_in for P_in, _ in inserted], g.features)
+    return [
+        (insert_prompt(g, P_in, p.tau_inner, p.tau_cross, scores=s), vjp)
+        for p, (P_in, vjp), s in zip(prompts, inserted, scores)
+    ]
 
 
 def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None, rows=None):
@@ -434,18 +471,17 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
     the current prompts or, given the branches of an earlier build as `held`,
     on their edge sets."""
     ops.next_build(rows)
-    wired = {}
+    size = ops.model.bank.size
+    prompts = state.prompts[: 1 if state.shared else size]
+    # prompt graph i first serves branch i, so held[i] carries its edge sets
+    held_pgs = None if held is None else [held[i].prompted for i in range(len(prompts))]
+    wired = _wire(g, prompts, state.normalize, ops.stats, held_pgs)
     branches = []
-    for k in range(ops.model.bank.size):
+    for k in range(size):
         i = 0 if state.shared else k
-        prompt = state.prompts[i]
-        if i not in wired:
-            wired[i] = _wire(
-                g, prompt, state.normalize, ops.stats, None if held is None else held[k].prompted
-            )
         pg, norm_vjp = wired[i]
         lap, base, gp = ops.get(pg, k, rows)
-        branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompt.features))
+        branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompts[i].features))
     return branches
 
 
@@ -689,13 +725,3 @@ def state_from_bytes(blob: bytes) -> PromptState:
     head.weight.value[...] = by_name["head.weight"]
     head.bias.value[...] = by_name["head.bias"]
     return PromptState(prompts=prompts, head=head, shared=bool(shared), normalize=bool(normalize))
-
-
-def load_state(path) -> PromptState:
-    """Read a saved prompt state; one that cannot be decoded raises DatasetError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return state_from_bytes(blob)
-    except ValueError as e:
-        raise DatasetError(f"unreadable prompt state: {e}", path=path) from e

@@ -327,10 +327,10 @@ def test_criterion_11_determinism(tmp_path, capsys):
 def test_criterion_12_performance_budget():
     g = generate(CsbmParams(n=5000, f=128, d_avg=40.0, h=0.2, mu=10.0, seed=0))
     frozen = freeze(PretrainedModel(FilterBank.full(2), 128, 64, seed=0))
-    backbone = frozen.model.n_parameters()
+    backbone = sum(p.value.size for p in frozen.model.params())
     state = init_state(g, frozen, TuneConfig(n_prompt=10, seed=0), n_classes=2)
     per_prompt = state.prompts[0].features.value.size
-    all_tunable = state.n_parameters()
+    all_tunable = sum(p.value.size for p in state.tunable_params())
     ratio_prompt = per_prompt / backbone
     ratio_all = all_tunable / backbone
 

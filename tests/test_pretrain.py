@@ -1,13 +1,8 @@
 """Contrastive pre-training: loss oracle, loop behavior, persistence."""
 
 import importlib
-import json
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,20 +205,11 @@ print(json.dumps([content_hash(model), [x.hex() for x in hist]]))
 """
 
 
-def test_pretrain_bits_do_not_depend_on_blas_threads():
-    # OpenBLAS reads its thread count at start-up, so each count needs its
-    # own process. x.T @ ds gives different bits at 1 and 2 threads on the
-    # n=5000 graph; pretrain runs BLAS on 1 thread whatever the environment
-    # says, so both processes give the pinned checkpoint.
-    src = str(Path(importlib.import_module("hsgppt").__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _PINNED_RUN], env=env, capture_output=True, text=True, check=True
-        )
-        runs.append(json.loads(out.stdout.splitlines()[-1]))
+def test_pretrain_bits_do_not_depend_on_blas_threads(run_at_blas_threads):
+    # x.T @ ds gives different bits at 1 and 2 threads on the n=5000 graph;
+    # pretrain runs BLAS on 1 thread whatever the environment says, so both
+    # processes give the pinned checkpoint.
+    runs = [run_at_blas_threads(_PINNED_RUN, threads) for threads in (1, 2)]
     want_hash, want_hist = PINNED_PRETRAIN["csbm_n5000_h0.2_seed0"]
     assert runs == [[want_hash, want_hist]] * 2
 
@@ -322,7 +308,7 @@ def test_config_bank_default_and_override():
 def test_parameter_count():
     model = PretrainedModel(FilterBank.full(2), 4, 8, seed=0)
     # 3 encoders (4*8 + 8 + 1), mix 3*8, discriminator 8*8
-    assert model.n_parameters() == 3 * 41 + 24 + 64
+    assert sum(p.value.size for p in model.params()) == 3 * 41 + 24 + 64
 
 
 def test_pretrain_reduces_loss_and_is_deterministic():

@@ -22,12 +22,12 @@ from hsgppt.prompt import (
     feature_stats,
     init_state,
     insert_prompt,
-    load_state,
     normalize_prompt,
     predict,
     prompted_encode,
     save_state,
     state_bytes,
+    state_from_bytes,
     state_hash,
     tune,
     tuning_loss_fn,
@@ -422,7 +422,7 @@ def test_state_round_trip(tmp_path):
     state, _ = tune(g, frozen, split, TuneConfig(n_prompt=3, epochs=5, eval_every=5, seed=0))
     path = tmp_path / "state.bin"
     save_state(state, path)
-    loaded = load_state(path)
+    loaded = state_from_bytes(path.read_bytes())
     assert state_bytes(loaded) == state_bytes(state)
     assert state_hash(loaded) == state_hash(state)
     a = predict(g, frozen, state)
@@ -434,7 +434,7 @@ def test_prompt_parameter_count():
     g, frozen = tiny_setup(f=6, hidden=8)
     state = init_state(g, frozen, TuneConfig(n_prompt=10, seed=0), n_classes=2)
     # 3 per-filter prompts of 10 x 6, head 8 x 2 + 2
-    assert state.n_parameters() == 3 * 60 + 18
+    assert sum(p.value.size for p in state.tunable_params()) == 3 * 60 + 18
 
 
 def test_variant_configs_flip_only_their_own_knobs():
@@ -496,7 +496,8 @@ def test_variant_states_reduce_correctly():
 # ---------------------------------------------------------------------------
 
 
-def reference_cross_mask(P, X, tau):
+def reference_cross_mask(P, X, tau, scores=None):
+    # scores passed in are ignored: the oracle forms each graph's own P @ X.T
     return sigmoid(P @ X.T) > tau
 
 
@@ -561,20 +562,103 @@ def test_cross_mask_takes_the_sigmoid_only_inside_the_band(monkeypatch):
     assert sizes == [4]
 
 
+_STACKED_SCORES_RUN = """
+import json
+import numpy as np
+import hsgppt.prompt as prompt_mod
+from hsgppt.csbm import CsbmParams, generate
+from hsgppt.pretrain import PretrainedModel, freeze
+from hsgppt.prompt import TuneConfig, init_state, prompted_encode
+from hsgppt.spectral import FilterBank
+
+g = generate(CsbmParams(n=1000, f=128, d_avg=20.0, h=0.2, mu=10.0, seed=0))
+frozen = freeze(PretrainedModel(FilterBank.full(2), 128, 64, seed=0))
+cross_mask, seen = prompt_mod.cross_mask, []
+
+def spy(P, X, tau, scores=None):
+    seen.append("own" if scores is None else scores.tobytes() == (P @ X.T).tobytes())
+    return cross_mask(P, X, tau, scores)
+
+prompt_mod.cross_mask = spy
+rng = np.random.default_rng(0)
+out = {}
+for n_prompt in (1, 2, 10):
+    for shared in (False, True):
+        cfg = TuneConfig(n_prompt=n_prompt, shared_prompt=shared, seed=0)
+        state = init_state(g, frozen, cfg, 2)
+        for p in state.prompts:  # the per-filter graphs start equal; part them
+            p.features.value += rng.standard_normal(p.features.value.shape)
+        seen.clear()
+        prompted_encode(g, frozen, state)
+        out[f"{n_prompt} {'shared' if shared else 'per-filter'}"] = seen[:]
+print(json.dumps(out))
+"""
+
+
+def test_stacked_cross_scores_equal_each_graphs_own_product(run_at_blas_threads):
+    # a build forms [P_1; ...; P_K] @ X.T once; each graph's rows of it must
+    # be its own P @ X.T byte for byte. A one-row graph forms its own
+    # product, which numpy runs as a matrix-vector one.
+    want = {"1 per-filter": ["own"] * 3, "1 shared": ["own"]}
+    for n_prompt in (2, 10):
+        want.update({f"{n_prompt} per-filter": [True] * 3, f"{n_prompt} shared": [True]})
+    for threads in (1, 2):
+        assert run_at_blas_threads(_STACKED_SCORES_RUN, threads) == want
+
+
+_TUNE_RUN = """
+import hashlib, json
+from hsgppt.csbm import CsbmParams, generate
+from hsgppt.graph import kshot_split
+from hsgppt.pretrain import PretrainConfig, freeze, pretrain
+from hsgppt.prompt import TuneConfig, predict, state_hash, tune
+
+out = {}
+for h in (0.2, 0.8):
+    g = generate(CsbmParams(n=1000, f=128, d_avg=20.0, h=h, mu=10.0, seed=0))
+    model, _ = pretrain(g, PretrainConfig(order=2, hidden_dim=64, epochs=3, patience=3, seed=0))
+    frozen = freeze(model)
+    cfg = TuneConfig(n_prompt=10, epochs=30, eval_every=10, seed=0)
+    state, hist = tune(g, frozen, kshot_split(g, 5, seed=0), cfg)
+    probs = predict(g, frozen, state)
+    out[h] = [
+        state_hash(state),
+        hashlib.sha256(probs.tobytes()).hexdigest(),
+        [[epoch, loss.hex(), f1.hex()] for epoch, loss, f1 in hist],
+    ]
+print(json.dumps(out))
+"""
+
+
+def test_tune_bits_do_not_depend_on_blas_threads(run_at_blas_threads):
+    # tune() and predict() are not pinned to one BLAS thread: their
+    # products are shot-row or N_p-wide, and their bits hold at 1 and 2
+    runs = [run_at_blas_threads(_TUNE_RUN, threads) for threads in (1, 2)]
+    assert set(runs[0]) == {"0.2", "0.8"}
+    assert runs[0] == runs[1]
+
+
 def _bench_setup(g):
     frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 64, seed=0))
     return frozen, kshot_split(g, 5, seed=0)
 
 
 def _reference_operators(monkeypatch):
-    """Wire by the oracle and build the full-row L' from the combined edges."""
+    """Wire by the oracle and build the full-row L' from the combined edges;
+    returns the number of prompt rows of each graph the oracle wired."""
     assemble = prompt_mod._EdgeSetOperators._laplacian
+    wired = []
+
+    def mask_by_oracle(P, X, tau, scores=None):
+        wired.append(P.shape[0])
+        return reference_cross_mask(P, X, tau, scores)
 
     def full_rows_by_oracle(self, pg, rows):
         return reference_laplacian(pg) if rows is None else assemble(self, pg, rows)
 
-    monkeypatch.setattr(prompt_mod, "cross_mask", reference_cross_mask)
+    monkeypatch.setattr(prompt_mod, "cross_mask", mask_by_oracle)
     monkeypatch.setattr(prompt_mod._EdgeSetOperators, "_laplacian", full_rows_by_oracle)
+    return wired
 
 
 def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_graph, monkeypatch):
@@ -592,11 +676,15 @@ def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_grap
     assert epochs[0][0].prompted.cross_edges.size > 0
 
     monkeypatch.undo()
-    _reference_operators(monkeypatch)
+    wired = _reference_operators(monkeypatch)
     ref_state, ref_hist = tune(g, frozen, split, cfg)
     assert state_hash(state) == state_hash(ref_state)
     assert hist == ref_hist
     assert predict(g, frozen, ref_state).tobytes() == probs.tobytes()
+    # the oracle wired every graph of every build: 30 training epochs, 3
+    # validation passes and predict, one graph per filter
+    builds = cfg.epochs + cfg.epochs // cfg.eval_every + 1
+    assert wired == [cfg.n_prompt] * builds * frozen.model.bank.size
 
 
 def _record_epoch_work(monkeypatch):
