@@ -312,9 +312,12 @@ def _workers(cfg) -> int:
         return cfg["workers"]
     env = os.environ.get("HSGPPT_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
+        threads = int(env) if env else 1
     except ValueError:
         raise CliUsageError(f"HSGPPT_THREADS must be an integer, not {env!r}")
+    if threads < 0:
+        raise CliUsageError(f"HSGPPT_THREADS must be 0 or more, not {threads}")
+    return max(1, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Graphs are immutable after construction: edge arrays and feature matrices are
 locked (numpy writeable flag cleared) so downstream stages cannot mutate a
-shared instance in place.
+shared instance in place. The normalized Laplacian is built once per graph,
+on first use, and locked the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,15 @@ class Graph:
     def n_nodes(self) -> int:
         return self.features.shape[0]
 
+    @cached_property
+    def normalized_laplacian(self) -> sp.csr_matrix:
+        """I - D^{-1/2} A D^{-1/2}, built on first use and kept; its arrays
+        are locked like the graph's own."""
+        L = laplacian_from_edges(self.edges, self.n_nodes)
+        for a in (L.data, L.indices, L.indptr):
+            a.setflags(write=False)
+        return L
+
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
@@ -141,9 +152,10 @@ def normalized_laplacian_entries(deg, rows, cols) -> np.ndarray:
     so both endpoints of an edge hold the same bits.
     """
     dinv = np.zeros(deg.shape, dtype=np.float64)
-    nz = deg > 0
-    dinv[nz] = 1.0 / np.sqrt(deg[nz])
-    data = -(dinv[rows] * dinv[cols])
+    np.divide(1.0, np.sqrt(deg), out=dinv, where=deg > 0)
+    data = dinv.take(rows)
+    data *= dinv.take(cols)
+    np.negative(data, out=data)
     data[rows == cols] = 1.0
     return data
 
@@ -170,6 +182,9 @@ def laplacian_from_edges(edges, n, kind="normalized") -> sp.csr_matrix:
 
 
 def laplacian(g: Graph, kind: LaplacianKind = "normalized") -> sp.csr_matrix:
+    """The graph's Laplacian; the normalized one is g's read-only cached copy."""
+    if kind == "normalized":
+        return g.normalized_laplacian
     return laplacian_from_edges(g.edges, g.n_nodes, kind)
 
 

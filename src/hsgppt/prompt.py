@@ -23,14 +23,18 @@ prompt gradient is G_p^T ds W^T.
 
 A training epoch's loss reads only the K-shot rows, so training forms both
 pieces, the mixed embeddings and the logits on those rows alone. The filter
-engine runs each step on the ball of rows that later steps read
-(bank_filter_apply with rows). Validation, predict() and prompted_encode()
-read every row and take the full path (beta_filter_apply). L' is built one
-way for both, PromptedGraph.laplacian: each row a filter reads is its base
-Laplacian row followed by its row of one wiring CSR built from the mask and
-the prompt block, valued by the normalization rule that laplacian_from_edges
-also uses, so the whole prompted Laplacian is never built for training. The
-tests keep the build from the combined edge list as the oracle.
+engine runs each step on the ball of rows that later steps read: it takes
+the shot rows' RowWalk, the blocks L'[B_1] (global columns) and L'[B_0]
+(columns renumbered into B_1) at the default order 2. Validation, predict()
+and prompted_encode() read every row and take the full path
+(beta_filter_apply) on L' itself. One assembler builds both,
+PromptedGraph.laplacian: each row a filter reads is its base Laplacian row
+followed by its wiring row, read off the mask and the prompt block, and
+valued by the normalization rule that laplacian_from_edges also uses, so
+training never forms a structure with a row per node. The base rows of a
+row set are gathered once per call and shared by every prompt graph and
+build (_BaseRows). The tests keep the build from the combined edge list,
+cut by spectral._row_steps, as the oracle.
 
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
@@ -45,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,7 +77,7 @@ from .nn import (
     unpack_arrays,
 )
 from .pretrain import FrozenModel, PretrainConfig, derive_seed
-from .spectral import bank_filter_apply, beta_filter_apply
+from .spectral import RowWalk, bank_filter_apply, beta_filter_apply
 
 STATE_MAGIC = b"HSGPPRM1"
 
@@ -184,12 +188,21 @@ def normalize_prompt(P: np.ndarray, mu_o: np.ndarray, sigma_o: np.ndarray):
     return out, vjp
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    """np.triu_indices(n, k=1), formed once per size and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def build_inner_edges(P: np.ndarray, tau: float) -> np.ndarray:
     """Prompt-local pairs (i, j), i < j, with sigmoid(p_i . p_j) > tau."""
     n = P.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     keep = sigmoid(np.einsum("ij,ij->i", P[iu], P[ju])) > tau
     return np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
 
@@ -239,8 +252,9 @@ class PromptedGraph:
 
     Its features are [base.features; prompt_features] and its edges are the
     base edges, the inner edges and the mask's cross pairs; neither is
-    formed here. L' is built one way, by laplacian(), which assembles rows;
-    the tests build it from the combined edge list as its oracle.
+    formed here. L' is built one way, by laplacian(), which assembles the
+    rows a filter reads; the tests build it from the combined edge list as
+    its oracle.
     """
 
     base: Graph
@@ -262,42 +276,82 @@ class PromptedGraph:
     def n_total(self) -> int:
         return self.base.n_nodes + self.prompt_features.shape[0]
 
-    def laplacian(self, base_csr, rows=None, radius: int = 0) -> sp.csr_matrix:
-        """The normalized L' (n_total x n_total CSR) on the rows within radius
-        hops of rows, or on every row when rows is None; other rows are empty.
-
-        base_csr is the base graph's normalized Laplacian. Each row of L' is
-        its row there (none for a prompt) followed by its wiring row: a base
-        node's prompts, or a prompt's nodes and then its prompt-block row,
-        diagonal included. Both segments are ascending, as in the CSR that
-        laplacian_from_edges sorts, and every row holds its diagonal, so a
-        node's degree is its row length less one. The edge arrays must be
-        canonical (no repeated pair).
-        """
-        n, n_total = self.base.n_nodes, self.n_total
-        block = np.eye(n_total - n, dtype=bool)
+    @cached_property
+    def _block(self) -> np.ndarray:
+        """The prompt rows' prompt columns: inner edges and the diagonal."""
+        block = np.eye(self.prompt_features.shape[0], dtype=bool)
         iu, ju = self.inner_edges.T
         block[iu, ju] = block[ju, iu] = True
-        wiring = np.concatenate([self.mask, block], axis=1)
-        wire_ptr = _pointers(np.concatenate([self.mask.sum(axis=0), wiring.sum(axis=1)]))
-        wire_cols = np.concatenate([n + np.nonzero(self.mask.T)[1], np.nonzero(wiring)[1]])
-        base_ptr = np.concatenate([base_csr.indptr, np.full(n_total - n, base_csr.indptr[-1])])
+        return block
 
-        def structure(q):
-            return _two_segment_rows(base_ptr, base_csr.indices, wire_ptr, wire_cols, q)
+    def laplacian(self, base, rows=None, top: int = 1):
+        """The normalized L' as the filter engine multiplies by it: an
+        n_total x n_total CSR when rows is None, else the RowWalk of rows for
+        a degree-top filter, whose blocks hold only the rows it reads.
 
+        base is the base graph's normalized Laplacian, a CSR or its _BaseRows.
+        Each row of L' is its base row (none for a prompt) followed by its
+        wiring row: a base node's prompts, or a prompt's nodes and then its
+        prompt-block row, diagonal included. Both segments are ascending, as
+        in the CSR that laplacian_from_edges sorts, and every row holds its
+        diagonal, so a node's degree is its row length less one. The balls
+        B_d are walked on these rows, and the entries are valued once, on
+        the largest ball; the smaller blocks are cut from it. The edge
+        arrays must be canonical (no repeated pair).
+        """
+        if not isinstance(base, _BaseRows):
+            base = _BaseRows(base)
+        n_total = self.n_total
         if rows is None:
-            q = np.arange(n_total)
+            balls = [np.arange(n_total)]
         else:
-            q = np.unique(rows)
-            for _ in range(radius):
-                q = np.unique(structure(q)[1])
-        lens, cols = structure(q)
-        deg = np.diff(base_ptr) + np.diff(wire_ptr) - 1
+            rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+            if rows.size and (rows.min() < 0 or rows.max() >= n_total):
+                raise ValueError(f"rows must lie in [0, {n_total})")
+            balls = [np.unique(rows)]
+            if top == 0:
+                return RowWalk([], balls, _gather(rows, balls[0]), n_total)
+            for _ in range(top - 1):
+                reached = np.zeros(n_total, dtype=bool)
+                reached[self._rows(base, balls[-1])[1]] = True
+                balls.append(np.flatnonzero(reached))
+        q = balls[-1]
+        lens, cols = self._rows(base, q)
+        # a node's degree adds its prompts; a prompt's counts its nodes and its
+        # prompt-block row less the diagonal
+        prompts = self.mask.sum(axis=1) + self._block.sum(axis=1) - 1
+        deg = np.concatenate([base.deg + self.mask.sum(axis=0, dtype=np.int32), prompts])
         data = normalized_laplacian_entries(deg, np.repeat(q, lens), cols)
-        counts = np.zeros(n_total, dtype=np.int64)
-        counts[q] = lens
-        return sp.csr_matrix((data, cols, _pointers(counts)), shape=(n_total, n_total))
+        ptr = _pointers(lens)
+        steps = [sp.csr_matrix((data, cols, ptr), shape=(q.size, n_total))]
+        if rows is None:
+            return steps[0]
+        for d in range(top - 2, -1, -1):  # L'[B_d], its columns renumbered into B_{d+1}
+            at = np.searchsorted(q, balls[d])
+            take = _ranges(ptr[at], lens[at])
+            sub = np.searchsorted(balls[d + 1], cols[take])
+            block = (data[take], sub, _pointers(lens[at]))
+            steps.append(sp.csr_matrix(block, shape=(at.size, balls[d + 1].size)))
+        picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
+        return RowWalk(steps, picks + [None], _gather(rows, balls[0]), n_total)
+
+    def _rows(self, base, q):
+        """(lengths, columns) of the rows q (sorted, distinct) of L'."""
+        n = base.n
+        cut = np.searchsorted(q, n)
+        qb, qp = q[:cut], q[cut:] - n
+        lens, cols = base.rows(qb)
+        wired = self.mask.T if cut == n else self.mask.T[qb]  # a row per node
+        if wired.any():
+            node, prompt = np.nonzero(wired)  # by node, then prompt
+            # each node's prompts go after its base row, in order
+            cols = np.insert(cols, np.cumsum(lens)[node], n + prompt)
+            lens = lens + np.bincount(node, minlength=qb.size)
+        if qp.size:
+            wiring = np.concatenate([self.mask[qp], self._block[qp]], axis=1)
+            lens = np.concatenate([lens, wiring.sum(axis=1)])
+            cols = np.concatenate([cols, np.nonzero(wiring)[1]])
+        return lens, cols
 
 
 def insert_prompt(
@@ -323,8 +377,8 @@ class _Branch:
     base = (g(L') [X W; 0])[rows] and gp = g(L')[rows, n:], so the original
     nodes' filtered pre-activations are base + gp (P_in W), P_in being
     prompted.prompt_features. rows are all original nodes, or the sorted
-    shot rows in training; lap holds (at least) the rows of L' the filter
-    read.
+    shot rows in training; lap is what the filter ran on, L' itself or, in
+    training, the RowWalk of the shot rows (PromptedGraph.laplacian).
     """
 
     __slots__ = ("prompted", "lap", "base", "gp", "norm_vjp", "param")
@@ -344,34 +398,57 @@ def _ranges(starts, lens):
     return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _two_segment_rows(ptr_a, a, ptr_b, b, q):
-    """(lengths, columns) of rows q, each its a-segment then its b-segment."""
-    la = ptr_a[q + 1] - ptr_a[q]
-    lb = ptr_b[q + 1] - ptr_b[q]
-    lens = la + lb
-    start = np.cumsum(lens) - lens
-    cols = np.empty(int(lens.sum()), dtype=np.int64)
-    cols[_ranges(start, la)] = a[_ranges(ptr_a[q], la)]
-    cols[_ranges(start + la, lb)] = b[_ranges(ptr_b[q], lb)]
-    return lens, cols
-
-
 def _pointers(counts):
     return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _gather(rows, ball):
+    """Positions of rows within their sorted distinct set, or None when equal."""
+    return None if np.array_equal(rows, ball) else np.searchsorted(ball, rows)
+
+
+class _BaseRows:
+    """A base graph's normalized Laplacian with its rows gathered per row
+    set; the last few row sets' gathers are kept, so every prompt graph and
+    every build on the same rows reads them once."""
+
+    KEEP = 8
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.n = csr.shape[0]
+        self.deg = np.diff(csr.indptr) - 1  # every row holds its diagonal
+        self._kept = {}
+
+    def rows(self, q):
+        """(lengths, columns) of rows q (sorted, distinct)."""
+        if q.size == self.n:
+            return self.deg + 1, self.csr.indices
+        key = q.tobytes()
+        got = self._kept.get(key)
+        if got is None:
+            ptr = self.csr.indptr
+            lens = ptr[q + 1] - ptr[q]
+            got = lens, self.csr.indices[_ranges(ptr[q], lens)]
+            if len(self._kept) == self.KEEP:
+                self._kept.pop(next(iter(self._kept)))
+            self._kept[key] = got
+        return got
 
 
 class _EdgeSetOperators:
     """Prompted operators keyed by wiring and row set, for one call.
 
-    An entry holds the prompted Laplacian (or, for a row set, the rows of it
-    the filter reads) and, per filter, the base term and G_p of _Branch on
-    those rows; none depends on the prompt values. Both paths build it by
-    PromptedGraph.laplacian from the base graph's Laplacian, built once per
-    call. X and the frozen W_k never change within a call, so the filter
-    input [X W_k, 0; 0, I] is formed once per filter. Per row set, entries
-    used by the previous or the current build survive and older ones are
-    dropped, so a wiring that changes every epoch holds two builds' worth and
-    a validation build never evicts the training entries.
+    An entry holds the prompted Laplacian (or, for a row set, its RowWalk)
+    and, per filter, the base term and G_p of _Branch on those rows; none
+    depends on the prompt values. Both paths build it by
+    PromptedGraph.laplacian from the graph's cached Laplacian, whose rows
+    one _BaseRows gathers for the whole call. X and the frozen W_k never
+    change within a call, so the filter input [X W_k, 0; 0, I] is formed
+    once per filter. Per row set, entries used by the previous or the
+    current build survive and older ones are dropped, so a wiring that
+    changes every epoch holds two builds' worth and a validation build
+    never evicts the training entries.
     """
 
     def __init__(self, g: Graph, model):
@@ -379,7 +456,7 @@ class _EdgeSetOperators:
         self.model = model
         self.stats = feature_stats(g.features)
         self._signals = {}
-        self._base_csr = None
+        self._base = None
         self._gens = {}  # row set -> (previous build's entries, current build's)
 
     def next_build(self, rows):
@@ -397,18 +474,16 @@ class _EdgeSetOperators:
             cur[pg.key] = entry
         lap, blocks = entry
         if k not in blocks:
-            blocks[k] = self._filter_blocks(lap, k, rows)
+            blocks[k] = self._filter_blocks(lap, k, pg.n_total - self.g.n_nodes)
         return (lap, *blocks[k])
 
     def _laplacian(self, pg: PromptedGraph, rows):
-        if self._base_csr is None:
-            self._base_csr = laplacian(self.g)
-        # a degree-C filter reads L' on the rows within C - 1 hops of rows
-        return pg.laplacian(self._base_csr, rows, max(self.model.bank.order - 1, 0))
+        if self._base is None:
+            self._base = _BaseRows(laplacian(self.g))
+        return pg.laplacian(self._base, rows, self.model.bank.order)
 
-    def _filter_blocks(self, lap, k: int, rows):
+    def _filter_blocks(self, lap, k: int, n_p: int):
         n = self.g.n_nodes
-        n_p = lap.shape[0] - n
         h = self.model.hidden_dim
         if (k, n_p) not in self._signals:
             # one filter pass over [X W, 0; 0, I] gives the base term and G_p
@@ -418,10 +493,10 @@ class _EdgeSetOperators:
             self._signals[k, n_p] = m
         m = self._signals[k, n_p]
         kk, rr = self.model.bank.filters[k]
-        if rows is None:
-            out = beta_filter_apply(lap, kk, rr, m)[:n]
+        if isinstance(lap, RowWalk):
+            (out,) = bank_filter_apply(lap, ((kk, rr),), m)
         else:
-            (out,) = bank_filter_apply(lap, ((kk, rr),), m, rows=rows)
+            out = beta_filter_apply(lap, kk, rr, m)[:n]
         return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
 
 
@@ -580,10 +655,14 @@ def _prompt_name(i: int, n_graphs: int) -> str:
     return "prompt.features" if n_graphs == 1 else f"prompt{i}.features"
 
 
-def init_state(g: Graph, frozen: FrozenModel, cfg: TuneConfig, n_classes: int) -> PromptState:
-    """Fresh prompts (rows drawn from the feature column statistics) + head."""
+def init_state(
+    g: Graph, frozen: FrozenModel, cfg: TuneConfig, n_classes: int, stats=None
+) -> PromptState:
+    """Fresh prompts (rows drawn from the feature column statistics) + head.
+
+    stats, when given, must be feature_stats(g.features)."""
     rng = np.random.default_rng(derive_seed(cfg.seed, 2))
-    mu_o, sigma_o = feature_stats(g.features)
+    mu_o, sigma_o = feature_stats(g.features) if stats is None else stats
     tau_cross = cfg.tau_cross
     if tau_cross is None:
         tau_cross = default_tau_cross(edge_homophily(g)) if g.labels is not None else TAU_CROSS_HETEROPHILIC
@@ -623,11 +702,11 @@ def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
     if g.labels is None:
         raise ValueError("labels absent")
     n_classes = class_count(g)
-    state = init_state(g, frozen, cfg, n_classes)
+    ops = _EdgeSetOperators(g, frozen.model)
+    state = init_state(g, frozen, cfg, n_classes, ops.stats)
     params = state.tunable_params()
     opt = Adam(params, lr=cfg.lr)
     rows, at = _loss_rows(np.concatenate(split.shot_indices))
-    ops = _EdgeSetOperators(g, frozen.model)
     history = []
     best_f1 = -1.0
     best_values = None

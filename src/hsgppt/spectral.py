@@ -13,7 +13,9 @@ table, D_{k,0} = T_k and D_{k,r} = D_{k,r-1} - D_{k+1,r-1}, gives each
 output as c_{k,r} D_{k,r} with no binomial coefficients. The Laplacian is
 never densified. Given `rows`, the same walk computes only the rows of the
 outputs asked for: T_j is formed on the ball N^{C-j}[rows] that the products
-after it read, and the table on the rows themselves. The table subtracts
+after it read, and the table on the rows themselves. The blocks of L that
+walk multiplies by (a RowWalk) are cut from L here or handed in by a caller
+that assembles them itself. The table subtracts
 nearly equal terms, so its error grows with the order (see
 bank_filter_apply).
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,7 +104,24 @@ class FilterBank:
         return len(self.filters)
 
 
-def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None, overwrite_x=False) -> list:
+class RowWalk(NamedTuple):
+    """The operands of the row path for one row set and one degree `top`.
+
+    With B_0 the sorted distinct rows and B_{d+1} the columns of L[B_d],
+    steps[j - 1] forms T_j on B_{top-j}: it is L[B_{top-j}], its columns
+    renumbered into B_{top-j+1}, except steps[0], which keeps L's columns
+    because T_1 reads x on every row. picks[j] selects B_0 within T_j's rows
+    (picks[0] within x's, None once T_j is on B_0), and order gathers the
+    requested rows from B_0 (None when they are B_0). n is L's order.
+    """
+
+    steps: list
+    picks: list
+    order: np.ndarray | None
+    n: int
+
+
+def bank_filter_apply(L, filters, x: np.ndarray, rows=None, overwrite_x=False) -> list:
     """[g_{k,r}(L) x for (k, r) in filters], from one power series.
 
     With T_j = (L/2)^j x and D_{k,r} = (L/2)^k (I - L/2)^r x, the table
@@ -127,20 +147,29 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None, overwri
     every output only: out[i] equals the full output's [rows], bit for bit.
     With B_d = N^d[rows] the balls of L's sparsity pattern, T_j is needed
     only on B_{C-j}, so each product runs with L[B_{C-j}], its columns
-    renumbered into B_{C-j+1}, and the table is formed on B_0. L must then
-    be a scipy sparse matrix, and only its rows in N^{C-1}[rows] are read, so
-    a caller may pass a matrix that holds just those rows.
+    renumbered into B_{C-j+1}, and the table is formed on B_0 (RowWalk).
+    L must then be a scipy sparse matrix, and only its rows in
+    N^{C-1}[rows] are read, so a caller may pass a matrix that holds just
+    those rows. A caller that assembles those blocks itself passes their
+    RowWalk as L, with rows None; its degree must be C.
     """
     x = np.asarray(x, dtype=np.float64)
-    if L.shape[1] != x.shape[0]:
-        raise ValueError(f"L is {L.shape}, signal has {x.shape[0]} rows")
+    n = L.n if isinstance(L, RowWalk) else L.shape[1]
+    if n != x.shape[0]:
+        raise ValueError(f"L has {n} columns, signal has {x.shape[0]} rows")
     filters = [(k, r) for k, r in filters]
     consts = [beta_constant(k, r) for k, r in filters]  # validates k, r >= 0
     top = max((k + r for k, r in filters), default=-1)
-    if rows is None:
+    if top < 0:
+        return []
+    if isinstance(L, RowWalk):
+        if rows is not None or len(L.steps) != top:
+            raise ValueError(f"a RowWalk of degree {len(L.steps)} takes no rows and degree {top} filters")
+        steps, picks, order = L.steps, L.picks, L.order
+    elif rows is None:
         steps, picks, order = [L] * top, [None] * (top + 1), None
     else:
-        steps, picks, order = _row_steps(L.tocsr(), rows, top)
+        steps, picks, order, _ = _row_steps(L.tocsr(), rows, top)
 
     # needed: the table entries with r >= 1 that some output is formed from;
     # reads[e]: how many outputs and needed entries still read entry e
@@ -180,13 +209,10 @@ def bank_filter_apply(L: sp.spmatrix, filters, x: np.ndarray, rows=None, overwri
     return out
 
 
-def _row_steps(L: sp.csr_matrix, rows, top: int):
-    """The row path's products, the rows of B_0 within each T_j, and the
-    gather from B_0 to the requested rows (None when they are B_0).
+def _row_steps(L: sp.csr_matrix, rows, top: int) -> RowWalk:
+    """The RowWalk of rows on a plain CSR, cut from it by row indexing.
 
     B_0 is the sorted distinct rows and B_{d+1} adds the columns of L[B_d].
-    The product that forms T_j is L[B_{top-j}], its columns renumbered into
-    B_{top-j+1}; T_1 reads x on every row, so its block keeps L's columns.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     if rows.size and (rows.min() < 0 or rows.max() >= L.shape[0]):
@@ -205,7 +231,7 @@ def _row_steps(L: sp.csr_matrix, rows, top: int):
     if top > 0:
         picks.append(None)
     order = None if np.array_equal(rows, balls[0]) else np.searchsorted(balls[0], rows)
-    return steps, picks, order
+    return RowWalk(steps, picks, order, L.shape[1])
 
 
 def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:

@@ -331,6 +331,15 @@ def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "HSGPPT_THREADS" in capsys.readouterr().err
 
 
+def test_negative_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    data = gen(tmp_path)
+    monkeypatch.setenv("HSGPPT_THREADS", "-2")
+    assert run("eval", "--data", data, "--out", tmp_path / "ev", "--seeds", "0,1", "--k", 2,
+               "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1) == EXIT_USAGE
+    assert "HSGPPT_THREADS must be 0 or more" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_negative_worker_count_is_usage_error(tmp_path, capsys):
     data = gen(tmp_path)
     for mode in ("transductive", "inductive"):

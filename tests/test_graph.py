@@ -99,6 +99,43 @@ def test_laplacian_normalized_exactly_symmetric_with_isolated_node():
     assert vals.min() > -1e-12 and vals.max() < 2 + 1e-12
 
 
+def test_normalized_laplacian_is_built_once_and_locked(monkeypatch):
+    import hsgppt.evaluate as evaluate
+    from hsgppt.prompt import insert_prompt
+    from hsgppt.spectral import FilterBank, bank_filter_apply, eigendecompose
+
+    g = generate(CsbmParams(n=60, f=4, d_avg=6.0, h=0.5, mu=4.0, seed=3))
+    L = laplacian(g)
+    assert laplacian(g, "normalized") is L and g.normalized_laplacian is L
+    fresh = laplacian_from_edges(g.edges, g.n_nodes)
+    assert (L != fresh).nnz == 0 and np.array_equal(L.data, fresh.data)
+    assert not any(a.flags.writeable for a in (L.data, L.indices, L.indptr))
+    with pytest.raises(ValueError, match="read-only"):
+        L.data[0] = 0.0
+    # every consumer runs on the locked matrix and leaves it as it was
+    before = L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()
+    bank = FilterBank.full(2).filters
+    rows = np.array([7, 2, 7])
+    full = bank_filter_apply(L, bank, g.features)
+    for got, want in zip(bank_filter_apply(L, bank, g.features, rows=rows), full):
+        assert np.array_equal(got, want[rows])
+    assert (L[rows] != fresh[rows]).nnz == 0
+    pg = insert_prompt(g, 3.0 * np.eye(4)[:2], 0.2, 0.5)
+    pg.laplacian(L)
+    pg.laplacian(L, rows, 2)
+    eigendecompose(L)
+    seen = []
+
+    def spy(M, *args, **kwargs):
+        seen.append(M.data.flags.writeable)
+        return bank_filter_apply(M, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "bank_filter_apply", spy)
+    evaluate.filter_sweep_study([0.5], [0], CsbmParams(n=60, f=4, d_avg=5.0, mu=6.0))
+    assert seen == [False]
+    assert (L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()) == before
+
+
 def test_laplacian_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         laplacian_from_edges(np.array([[0, 1]]), 2, "rw")

@@ -33,7 +33,15 @@ from hsgppt.prompt import (
     tuning_loss_fn,
     variant_configs,
 )
-from hsgppt.spectral import FilterBank, beta_filter_apply, eigendecompose, filter_response
+from hsgppt.spectral import (
+    FilterBank,
+    RowWalk,
+    _row_steps,
+    bank_filter_apply,
+    beta_filter_apply,
+    eigendecompose,
+    filter_response,
+)
 
 
 def tiny_setup(seed=0, n=40, f=6, h=0.3, hidden=8):
@@ -206,16 +214,18 @@ def _edge_key(branch):
     return branch.prompted.cross_edges.tobytes(), branch.prompted.inner_edges.tobytes()
 
 
-def _held_rows(lap):
-    """The rows a training branch's Laplacian holds (the others are empty)."""
-    return np.flatnonzero(np.diff(lap.indptr))
-
-
-def _ball(L, rows, radius):
-    ball = np.unique(rows)
-    for _ in range(radius):
-        ball = np.unique(L[ball].indices)
-    return ball
+def _assert_same_walk(got, want):
+    """Two RowWalks hold the same blocks, picks and gather, bit for bit."""
+    assert isinstance(got, RowWalk) and got.n == want.n
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert a.shape == b.shape
+        _assert_same_csr(a, b)
+    assert len(got.picks) == len(want.picks)
+    for a, b in zip(got.picks, want.picks):
+        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+    assert (got.order is None) == (want.order is None)
+    assert got.order is None or np.array_equal(got.order, want.order)
 
 
 def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
@@ -233,10 +243,8 @@ def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
         for (kk, rr), w, br in zip(frozen.model.bank.filters, xw, branches):
             pg = br.prompted
             fresh = reference_laplacian(pg)
-            # the held rows are the ones a degree-2 filter reads, equal to fresh ones
-            held = _held_rows(br.lap)
-            assert np.array_equal(held, _ball(fresh, rows, 1))
-            assert br.lap.shape == fresh.shape and (br.lap[held] != fresh[held]).nnz == 0
+            # the blocks a degree-2 filter multiplies by, equal to those cut from fresh
+            _assert_same_walk(br.lap, _row_steps(fresh, rows, 2))
             indicator = np.eye(pg.n_total)[:, n:]
             gp = beta_filter_apply(fresh, kk, rr, indicator)[rows]
             assert np.max(np.abs(br.gp - gp)) < 1e-12
@@ -257,12 +265,12 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
         full_builds.append(n_nodes)
         return build(edges, n_nodes, kind)
 
-    def counting_rows(self, base_csr, rows=None, radius=0):
+    def counting_rows(self, base, rows=None, top=1):
         row_builds.append(rows)
-        return assemble(self, base_csr, rows, radius)
+        return assemble(self, base, rows, top)
 
     def counting_bank(L, filters, x, rows=None):
-        row_filters.append(rows is not None)
+        row_filters.append(isinstance(L, RowWalk))
         return bank(L, filters, x, rows=rows)
 
     monkeypatch.setattr(prompt_mod, "laplacian_from_edges", counting)
@@ -298,31 +306,72 @@ def _assert_same_csr(a, b):
 
 
 def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
+    # the assembler's blocks on a row set equal those _row_steps cuts from
+    # the oracle's L', for every bank order a filter may take
     rng = np.random.default_rng(9)
-    # (N_p, tau_inner, tau_cross); tau_cross 0 wires every pair, N_p 0 none
-    cases = [(5, 0.5, 0.5), (5, 1.0, 0.5), (5, 0.5, 1.0), (5, 1.0, 1.0), (5, 0.5, 0.0), (0, 0.5, 0.5)]
     for h in (0.2, 0.8):
         g0, frozen = tiny_setup(n=60, f=8, h=h, seed=1)
         keep = (g0.edges != 5).all(axis=1)  # node 5 left isolated
         g = Graph(g0.name, g0.edges[keep], g0.features, labels=g0.labels, n_classes=2)
         base = laplacian(g)
         P = rng.standard_normal((5, g.feature_dim))
-        for n_p, tau_inner, tau_cross in cases:
-            pg = insert_prompt(g, P[:n_p], tau_inner, tau_cross)
-            assert (pg.cross_edges.size > 0) == (n_p > 0 and tau_cross < 1.0)
-            assert (pg.inner_edges.size > 0) == (n_p > 1 and tau_inner < 1.0)
-            if tau_cross == 0.0:
-                assert pg.cross_edges.shape[0] == n_p * g.n_nodes
-            full = reference_laplacian(pg)
-            _assert_same_csr(pg.laplacian(base), full)
-            some = [np.array([0, 5, 17, 60, 63]), np.array([61])] if n_p else [np.array([0, 5, 17])]
-            for q in [np.arange(pg.n_total), *some]:
-                for radius in range(3):
-                    ball = _ball(full, q, radius)
-                    got = pg.laplacian(base, q, radius)
-                    assert got.shape == full.shape
-                    assert np.array_equal(_held_rows(got), ball)
-                    _assert_same_csr(got[ball], full[ball])
+        # tau_cross 0 wires every pair, 1 none; N_p 0 is the no_prompt ablation
+        for n_p in (0, 1, 5):
+            for tau_cross in (0.0, 0.5, 1.0):
+                for tau_inner in (0.5, 1.0):
+                    pg = insert_prompt(g, P[:n_p], tau_inner, tau_cross)
+                    assert (pg.cross_edges.size > 0) == (n_p > 0 and tau_cross < 1.0)
+                    assert (pg.inner_edges.size > 0) == (n_p > 1 and tau_inner < 1.0)
+                    if tau_cross == 0.0:
+                        assert pg.cross_edges.shape[0] == n_p * g.n_nodes
+                    full = reference_laplacian(pg)
+                    _assert_same_csr(pg.laplacian(base), full)
+                    # sorted, isolated, unsorted with repeats and a prompt row, all
+                    row_sets = [np.array([0, 5, 17]), np.array([5]), np.arange(pg.n_total)]
+                    if n_p:
+                        row_sets += [np.array([17, 60, 5, 17, 0]), np.array([60])]
+                    for q in row_sets:
+                        for top in range(4):
+                            _assert_same_walk(pg.laplacian(base, q, top), _row_steps(full, q, top))
+    with pytest.raises(ValueError, match="rows must lie"):
+        pg.laplacian(base, np.array([pg.n_total]), 2)
+
+
+def _permuted(g, perm):
+    """g with node i relabelled perm[i]."""
+    inv = np.argsort(perm)
+    edges = np.sort(perm[g.edges], axis=1)
+    return Graph(g.name, edges, g.features[inv], labels=g.labels[inv], n_classes=2)
+
+
+def test_prompted_laplacian_is_node_permutation_equivariant():
+    # relabelling the original nodes relabels L' entry for entry, bit for
+    # bit, and the row walks' filtered rows follow them
+    rng = np.random.default_rng(13)
+    g, frozen = tiny_setup(n=60, f=8, h=0.8, seed=4)
+    n = g.n_nodes
+    perm = rng.permutation(n)
+    gp = _permuted(g, perm)
+    # prompts keep their indices; original node i becomes perm[i]
+    full_perm = np.concatenate([perm, np.arange(n, n + 4)])
+    P = rng.standard_normal((4, g.feature_dim)) * 2.0
+    x = rng.standard_normal((n + 4, 3))
+    x_perm = np.empty_like(x)
+    x_perm[full_perm] = x
+    rows = np.array([3, 17, 61, 40])
+    for tau_cross in (0.3, 0.6):
+        pg = insert_prompt(g, P, 0.4, tau_cross)
+        pgp = insert_prompt(gp, P, 0.4, tau_cross)
+        assert pg.cross_edges.size > 0
+        want = pg.laplacian(laplacian(g)).toarray()
+        got = pgp.laplacian(laplacian(gp)).toarray()
+        assert np.array_equal(got[np.ix_(full_perm, full_perm)], want)
+        for top in (1, 2, 3):
+            filters = FilterBank.full(top).filters
+            walk = pg.laplacian(laplacian(g), rows, top)
+            walk_perm = pgp.laplacian(laplacian(gp), full_perm[rows], top)
+            for a, b in zip(bank_filter_apply(walk, filters, x), bank_filter_apply(walk_perm, filters, x_perm)):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
 
 
 def _full_row_reference(g, frozen, split, cfg):
@@ -689,7 +738,8 @@ def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_grap
 
 def _record_epoch_work(monkeypatch):
     """Per training epoch, the edge arrays, prompted Laplacians and filter
-    passes its build made."""
+    passes its build made. A training build's blocks must hold only the
+    rows of their balls, never all n_total rows with the others empty."""
     work = [{"edges": 0, "laplacians": 0, "filters": 0}]
     edges, bank, forward = prompt_mod._mask_edges, prompt_mod.bank_filter_apply, prompt_mod._forward
     assemble = prompt_mod.PromptedGraph.laplacian
@@ -698,9 +748,14 @@ def _record_epoch_work(monkeypatch):
         work[-1]["edges"] += 1
         return edges(mask)
 
-    def counting_laplacian(self, base_csr, rows=None, radius=0):
+    def counting_laplacian(self, base, rows=None, top=1):
         work[-1]["laplacians"] += 1
-        return assemble(self, base_csr, rows, radius)
+        out = assemble(self, base, rows, top)
+        if rows is not None:
+            for block in out.steps:
+                # every row of L' holds its diagonal, so no row is empty
+                assert block.shape[0] < self.n_total and np.diff(block.indptr).min() > 0
+        return out
 
     def counting_bank(L, filters, x, rows=None):
         work[-1]["filters"] += 1

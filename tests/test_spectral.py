@@ -14,6 +14,7 @@ from hsgppt.graph import Graph, laplacian, laplacian_from_edges
 from hsgppt.spectral import (
     REFERENCE_FILTERS,
     FilterBank,
+    _row_steps,
     bank_filter_apply,
     beta_constant,
     beta_filter_apply,
@@ -278,6 +279,15 @@ def test_bank_engine_rows_guards():
         with pytest.raises(ValueError, match="rows must lie"):
             bank_filter_apply(L, ((1, 1),), x, rows=bad)
     assert bank_filter_apply(L, (), x, rows=np.array([1])) == []
+    # a caller's RowWalk runs the same walk; it fixes its rows and degree
+    rows = np.array([4, 1, 4])
+    walk = _row_steps(L, rows, 2)
+    bank = FilterBank.full(2).filters
+    for a, b in zip(bank_filter_apply(walk, bank, x), bank_filter_apply(L, bank, x, rows=rows)):
+        assert np.array_equal(a, b)
+    for filters, kwargs in ((((0, 1),), {}), (bank, {"rows": rows})):
+        with pytest.raises(ValueError, match="RowWalk"):
+            bank_filter_apply(walk, filters, x, **kwargs)
 
 
 def test_triple_filters_match_eigenbasis_oracle():
