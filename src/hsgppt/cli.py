@@ -413,9 +413,9 @@ def _cmd_analyze(cfg) -> int:
 def _cmd_pretrain(cfg) -> int:
     _require(cfg, "data", "out")
     g = _load_data(cfg)
-    out = _out_dir(cfg)
     variant = "low_pass_only" if cfg["low_pass_only"] else "full"
     pre, _ = variant_configs(variant, _config(PretrainConfig, "pretrain", cfg), TuneConfig())
+    out = _out_dir(cfg)
     model, history = pretrain(g, pre)
     save_model(model, out / "model.ckpt")
     _write_tsv(out / "loss_history.tsv", ["epoch", "loss"], list(enumerate(history)))
@@ -437,8 +437,8 @@ def _cmd_tune(cfg) -> int:
             f"checkpoint takes {frozen.model.feature_dim} features, "
             f"the dataset has {g.feature_dim}", path=ckpt,
         )
-    out = _out_dir(cfg)
     _, tune_cfg = variant_configs(cfg["variant"], PretrainConfig(), _config(TuneConfig, "tune", cfg))
+    out = _out_dir(cfg)
     split = kshot_split(g, cfg["k"], seed=cfg["seed"])
     state, history = prompt.tune(g, frozen, split, tune_cfg)
     prompt.save_state(state, out / "state.bin")

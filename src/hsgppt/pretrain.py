@@ -63,6 +63,12 @@ class PretrainConfig:
     seed: int = 0
     filters: tuple | None = None  # bank override; None = all order+1 kernels
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.hidden_dim < 1:
+            raise ValueError(
+                f"pre-training takes epochs >= 1 and hidden_dim >= 1, not {self.epochs} and {self.hidden_dim}"
+            )
+
     def bank(self) -> FilterBank:
         if self.filters is not None:
             return FilterBank(tuple(tuple(f) for f in self.filters))

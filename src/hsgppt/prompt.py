@@ -27,14 +27,15 @@ engine runs each step on the ball of rows that later steps read: it takes
 the shot rows' RowWalk, the blocks L'[B_1] (global columns) and L'[B_0]
 (columns renumbered into B_1) at the default order 2. Validation, predict()
 and prompted_encode() read every row and take the full path
-(beta_filter_apply) on L' itself. One assembler builds both,
-PromptedGraph.laplacian: each row a filter reads is its base Laplacian row
-followed by its wiring row, read off the mask and the prompt block, and
-valued by the normalization rule that laplacian_from_edges also uses, so
-training never forms a structure with a row per node. The base rows of a
-row set are gathered once per call and shared by every prompt graph and
-build (_BaseRows). The tests keep the build from the combined edge list,
-cut by spectral._row_steps, as the oracle.
+(beta_filter_apply) on L' itself. PromptedGraph.laplacian builds both with
+spectral.row_walk, the one builder of every RowWalk, from PromptedGraph._rows:
+each row a filter reads is its base Laplacian row followed by its wiring row,
+read off the mask and the prompt block, and valued by the normalization rule
+that laplacian_from_edges also uses, so training never forms a structure
+with a row per node. The base rows of a row set are gathered once per call
+and shared by every prompt graph and build (spectral.CsrRows). The tests
+keep L' built from the combined edge list as the oracle, and walk it with
+the same row_walk over its CsrRows.
 
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
@@ -49,10 +50,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import (
     DatasetSplit,
@@ -77,7 +77,7 @@ from .nn import (
     unpack_arrays,
 )
 from .pretrain import FrozenModel, PretrainConfig, derive_seed
-from .spectral import RowWalk, bank_filter_apply, beta_filter_apply
+from .spectral import CsrRows, RowWalk, bank_filter_apply, beta_filter_apply, row_walk
 
 STATE_MAGIC = b"HSGPPRM1"
 
@@ -102,6 +102,10 @@ class TuneConfig:
     seed: int = 0
     shared_prompt: bool = False
     normalize: bool = True
+
+    def __post_init__(self):
+        if self.eval_every < 1:
+            raise ValueError(f"tuning takes eval_every >= 1, not {self.eval_every}")
 
 
 # ablation variant -> (pre-trains on the low-pass kernel g_{0,C} alone,
@@ -289,58 +293,30 @@ class PromptedGraph:
         n_total x n_total CSR when rows is None, else the RowWalk of rows for
         a degree-top filter, whose blocks hold only the rows it reads.
 
-        base is the base graph's normalized Laplacian, a CSR or its _BaseRows.
-        Each row of L' is its base row (none for a prompt) followed by its
-        wiring row: a base node's prompts, or a prompt's nodes and then its
+        base is the base graph's normalized Laplacian, a CSR or its CsrRows.
+        Both are built by row_walk from _rows, on every row with top 1 for
+        the CSR. The edge arrays must be canonical (no repeated pair).
+        """
+        rows_of = partial(self._rows, base if isinstance(base, CsrRows) else CsrRows(base))
+        if rows is None:
+            return row_walk(rows_of, np.arange(self.n_total), 1, self.n_total).steps[0]
+        return row_walk(rows_of, rows, top, self.n_total)
+
+    def _rows(self, base, q, values=False):
+        """(lengths, columns) of the rows q (sorted, distinct) of L', and with
+        values their entries.
+
+        Each row is its base row (none for a prompt) followed by its wiring
+        row: a base node's prompts, or a prompt's nodes and then its
         prompt-block row, diagonal included. Both segments are ascending, as
         in the CSR that laplacian_from_edges sorts, and every row holds its
-        diagonal, so a node's degree is its row length less one. The balls
-        B_d are walked on these rows, and the entries are valued once, on
-        the largest ball; the smaller blocks are cut from it. The edge
-        arrays must be canonical (no repeated pair).
+        diagonal, so a node's degree is its row length less one. The entries
+        are valued by the rule laplacian_from_edges uses.
         """
-        if not isinstance(base, _BaseRows):
-            base = _BaseRows(base)
-        n_total = self.n_total
-        if rows is None:
-            balls = [np.arange(n_total)]
-        else:
-            rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-            if rows.size and (rows.min() < 0 or rows.max() >= n_total):
-                raise ValueError(f"rows must lie in [0, {n_total})")
-            balls = [np.unique(rows)]
-            if top == 0:
-                return RowWalk([], balls, _gather(rows, balls[0]), n_total)
-            for _ in range(top - 1):
-                reached = np.zeros(n_total, dtype=bool)
-                reached[self._rows(base, balls[-1])[1]] = True
-                balls.append(np.flatnonzero(reached))
-        q = balls[-1]
-        lens, cols = self._rows(base, q)
-        # a node's degree adds its prompts; a prompt's counts its nodes and its
-        # prompt-block row less the diagonal
-        prompts = self.mask.sum(axis=1) + self._block.sum(axis=1) - 1
-        deg = np.concatenate([base.deg + self.mask.sum(axis=0, dtype=np.int32), prompts])
-        data = normalized_laplacian_entries(deg, np.repeat(q, lens), cols)
-        ptr = _pointers(lens)
-        steps = [sp.csr_matrix((data, cols, ptr), shape=(q.size, n_total))]
-        if rows is None:
-            return steps[0]
-        for d in range(top - 2, -1, -1):  # L'[B_d], its columns renumbered into B_{d+1}
-            at = np.searchsorted(q, balls[d])
-            take = _ranges(ptr[at], lens[at])
-            sub = np.searchsorted(balls[d + 1], cols[take])
-            block = (data[take], sub, _pointers(lens[at]))
-            steps.append(sp.csr_matrix(block, shape=(at.size, balls[d + 1].size)))
-        picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
-        return RowWalk(steps, picks + [None], _gather(rows, balls[0]), n_total)
-
-    def _rows(self, base, q):
-        """(lengths, columns) of the rows q (sorted, distinct) of L'."""
         n = base.n
         cut = np.searchsorted(q, n)
         qb, qp = q[:cut], q[cut:] - n
-        lens, cols = base.rows(qb)
+        lens, cols = base(qb)
         wired = self.mask.T if cut == n else self.mask.T[qb]  # a row per node
         if wired.any():
             node, prompt = np.nonzero(wired)  # by node, then prompt
@@ -351,7 +327,13 @@ class PromptedGraph:
             wiring = np.concatenate([self.mask[qp], self._block[qp]], axis=1)
             lens = np.concatenate([lens, wiring.sum(axis=1)])
             cols = np.concatenate([cols, np.nonzero(wiring)[1]])
-        return lens, cols
+        if not values:
+            return lens, cols
+        # a node's degree adds its prompts; a prompt's counts its nodes and its
+        # prompt-block row less the diagonal
+        prompts = self.mask.sum(axis=1) + self._block.sum(axis=1) - 1
+        deg = np.concatenate([base.lens - 1 + self.mask.sum(axis=0, dtype=np.int32), prompts])
+        return lens, cols, normalized_laplacian_entries(deg, np.repeat(q, lens), cols)
 
 
 def insert_prompt(
@@ -392,50 +374,6 @@ class _Branch:
         self.param = param
 
 
-def _ranges(starts, lens):
-    """Concatenated aranges [starts[i], starts[i] + lens[i])."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _pointers(counts):
-    return np.concatenate([[0], np.cumsum(counts)])
-
-
-def _gather(rows, ball):
-    """Positions of rows within their sorted distinct set, or None when equal."""
-    return None if np.array_equal(rows, ball) else np.searchsorted(ball, rows)
-
-
-class _BaseRows:
-    """A base graph's normalized Laplacian with its rows gathered per row
-    set; the last few row sets' gathers are kept, so every prompt graph and
-    every build on the same rows reads them once."""
-
-    KEEP = 8
-
-    def __init__(self, csr):
-        self.csr = csr
-        self.n = csr.shape[0]
-        self.deg = np.diff(csr.indptr) - 1  # every row holds its diagonal
-        self._kept = {}
-
-    def rows(self, q):
-        """(lengths, columns) of rows q (sorted, distinct)."""
-        if q.size == self.n:
-            return self.deg + 1, self.csr.indices
-        key = q.tobytes()
-        got = self._kept.get(key)
-        if got is None:
-            ptr = self.csr.indptr
-            lens = ptr[q + 1] - ptr[q]
-            got = lens, self.csr.indices[_ranges(ptr[q], lens)]
-            if len(self._kept) == self.KEEP:
-                self._kept.pop(next(iter(self._kept)))
-            self._kept[key] = got
-        return got
-
-
 class _EdgeSetOperators:
     """Prompted operators keyed by wiring and row set, for one call.
 
@@ -443,7 +381,7 @@ class _EdgeSetOperators:
     and, per filter, the base term and G_p of _Branch on those rows; none
     depends on the prompt values. Both paths build it by
     PromptedGraph.laplacian from the graph's cached Laplacian, whose rows
-    one _BaseRows gathers for the whole call. X and the frozen W_k never
+    one CsrRows gathers for the whole call. X and the frozen W_k never
     change within a call, so the filter input [X W_k, 0; 0, I] is formed
     once per filter. Per row set, entries used by the previous or the
     current build survive and older ones are dropped, so a wiring that
@@ -479,7 +417,7 @@ class _EdgeSetOperators:
 
     def _laplacian(self, pg: PromptedGraph, rows):
         if self._base is None:
-            self._base = _BaseRows(laplacian(self.g))
+            self._base = CsrRows(laplacian(self.g))
         return pg.laplacian(self._base, rows, self.model.bank.order)
 
     def _filter_blocks(self, lap, k: int, n_p: int):

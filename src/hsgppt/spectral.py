@@ -11,12 +11,12 @@ combination of the powers T_j = (L/2)^j x, so a bank is applied as one power
 series: C sparse matrix products form T_1..T_C, and a forward-difference
 table, D_{k,0} = T_k and D_{k,r} = D_{k,r-1} - D_{k+1,r-1}, gives each
 output as c_{k,r} D_{k,r} with no binomial coefficients. The Laplacian is
-never densified. Given `rows`, the same walk computes only the rows of the
-outputs asked for: T_j is formed on the ball N^{C-j}[rows] that the products
-after it read, and the table on the rows themselves. The blocks of L that
-walk multiplies by (a RowWalk) are cut from L here or handed in by a caller
-that assembles them itself. The table subtracts
-nearly equal terms, so its error grows with the order (see
+never densified. Given a RowWalk in place of L, the same walk computes only
+the rows of the outputs asked for: T_j is formed on the ball N^{C-j}[rows]
+that the products after it read, and the table on the rows themselves.
+row_walk builds every RowWalk, from any source of an operator's rows: a
+plain CSR (CsrRows) or a prompted graph that assembles its rows itself. The
+table subtracts nearly equal terms, so its error grows with the order (see
 bank_filter_apply).
 """
 
@@ -107,12 +107,13 @@ class FilterBank:
 class RowWalk(NamedTuple):
     """The operands of the row path for one row set and one degree `top`.
 
-    With B_0 the sorted distinct rows and B_{d+1} the columns of L[B_d],
-    steps[j - 1] forms T_j on B_{top-j}: it is L[B_{top-j}], its columns
-    renumbered into B_{top-j+1}, except steps[0], which keeps L's columns
-    because T_1 reads x on every row. picks[j] selects B_0 within T_j's rows
-    (picks[0] within x's, None once T_j is on B_0), and order gathers the
-    requested rows from B_0 (None when they are B_0). n is L's order.
+    With B_0 the sorted distinct rows and B_{d+1} = B_d with the columns of
+    L[B_d], steps[j - 1] forms T_j on B_{top-j}: it is L[B_{top-j}], its
+    columns renumbered into B_{top-j+1}, except steps[0], which keeps L's
+    columns because T_1 reads x on every row. picks[j] selects B_0 within
+    T_j's rows (picks[0] within x's, None once T_j is on B_0), and order
+    gathers the requested rows from B_0 (None when they are B_0). n is L's
+    order. row_walk builds it.
     """
 
     steps: list
@@ -121,7 +122,86 @@ class RowWalk(NamedTuple):
     n: int
 
 
-def bank_filter_apply(L, filters, x: np.ndarray, rows=None, overwrite_x=False) -> list:
+def row_walk(rows_of, rows, top: int, n: int) -> RowWalk:
+    """The RowWalk of rows (node indices, any order, repeats allowed) for a
+    degree-top filter on an operator with n rows and columns.
+
+    rows_of(q) gives the (lengths, columns) of the operator's rows q (sorted,
+    distinct), one row after another, and rows_of(q, values=True) gives
+    (lengths, columns, values). The balls are walked on the columns alone;
+    the values are asked for once, on the largest ball B_{top-1}, and the
+    smaller blocks are cut from it. No row outside B_{top-1} is read.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"rows must lie in [0, {n})")
+    reached = np.zeros(n, dtype=bool)
+    reached[rows] = True
+    balls = [np.flatnonzero(reached)]
+    for _ in range(top - 1):
+        reached[rows_of(balls[-1])[1]] = True
+        balls.append(np.flatnonzero(reached))
+    steps = []
+    if top:
+        q = balls[-1]
+        lens, cols, data = rows_of(q, values=True)
+        ptr = _pointers(lens)
+        steps.append(sp.csr_matrix((data, cols, ptr), shape=(q.size, n)))
+        for d in range(top - 2, -1, -1):  # L[B_d], its columns renumbered into B_{d+1}
+            at = np.searchsorted(q, balls[d])
+            take = _ranges(ptr[at], lens[at])
+            sub = np.searchsorted(balls[d + 1], cols[take])
+            block = (data[take], sub, _pointers(lens[at]))
+            steps.append(sp.csr_matrix(block, shape=(at.size, balls[d + 1].size)))
+    picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
+    picks += [None] * (top > 0)
+    order = None if np.array_equal(rows, balls[0]) else np.searchsorted(balls[0], rows)
+    return RowWalk(steps, picks, order, n)
+
+
+class CsrRows:
+    """A CSR's rows as row_walk reads them (rows_of). The columns of the
+    last few row sets are kept, so every walk on the same rows gathers them
+    once; values are gathered when asked for, and not kept."""
+
+    KEEP = 8
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.n = csr.shape[0]
+        self.lens = np.diff(csr.indptr)
+        self._kept = {}
+
+    def __call__(self, q, values=False):
+        ptr = self.csr.indptr
+        whole = q.size == self.n
+        if whole:
+            got = self.lens, self.csr.indices
+        else:
+            key = q.tobytes()
+            got = self._kept.get(key)
+            if got is None:
+                lens = ptr[q + 1] - ptr[q]
+                got = lens, self.csr.indices[_ranges(ptr[q], lens)]
+                if len(self._kept) == self.KEEP:
+                    self._kept.pop(next(iter(self._kept)))
+                self._kept[key] = got
+        if values:
+            got += (self.csr.data if whole else self.csr.data[_ranges(ptr[q], got[0])],)
+        return got
+
+
+def _ranges(starts, lens):
+    """Concatenated aranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _pointers(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def bank_filter_apply(L, filters, x: np.ndarray, overwrite_x=False) -> list:
     """[g_{k,r}(L) x for (k, r) in filters], from one power series.
 
     With T_j = (L/2)^j x and D_{k,r} = (L/2)^k (I - L/2)^r x, the table
@@ -143,15 +223,12 @@ def bank_filter_apply(L, filters, x: np.ndarray, rows=None, overwrite_x=False) -
     order 10 (a per-kernel (I - L/2)^j ladder, kept in the tests as an
     oracle, stays near 5e-15 but takes C(C+1)/2 products for a full bank).
 
-    rows (node indices, any order, repeats allowed) asks for those rows of
-    every output only: out[i] equals the full output's [rows], bit for bit.
-    With B_d = N^d[rows] the balls of L's sparsity pattern, T_j is needed
-    only on B_{C-j}, so each product runs with L[B_{C-j}], its columns
-    renumbered into B_{C-j+1}, and the table is formed on B_0 (RowWalk).
-    L must then be a scipy sparse matrix, and only its rows in
-    N^{C-1}[rows] are read, so a caller may pass a matrix that holds just
-    those rows. A caller that assembles those blocks itself passes their
-    RowWalk as L, with rows None; its degree must be C.
+    L is a matrix, or the RowWalk of some rows (row_walk), which asks for
+    those rows of every output only: out[i] equals the full output's [rows],
+    bit for bit. With B_d = N^d[rows] the balls of L's sparsity pattern, T_j
+    is needed only on B_{C-j}, so each product runs with L[B_{C-j}], its
+    columns renumbered into B_{C-j+1}, and the table is formed on B_0. The
+    walk's degree must be C.
     """
     x = np.asarray(x, dtype=np.float64)
     n = L.n if isinstance(L, RowWalk) else L.shape[1]
@@ -163,13 +240,11 @@ def bank_filter_apply(L, filters, x: np.ndarray, rows=None, overwrite_x=False) -
     if top < 0:
         return []
     if isinstance(L, RowWalk):
-        if rows is not None or len(L.steps) != top:
-            raise ValueError(f"a RowWalk of degree {len(L.steps)} takes no rows and degree {top} filters")
+        if len(L.steps) != top:
+            raise ValueError(f"a RowWalk of degree {len(L.steps)} takes filters of that degree, not {top}")
         steps, picks, order = L.steps, L.picks, L.order
-    elif rows is None:
-        steps, picks, order = [L] * top, [None] * (top + 1), None
     else:
-        steps, picks, order, _ = _row_steps(L.tocsr(), rows, top)
+        steps, picks, order = [L] * top, [None] * (top + 1), None
 
     # needed: the table entries with r >= 1 that some output is formed from;
     # reads[e]: how many outputs and needed entries still read entry e
@@ -207,31 +282,6 @@ def bank_filter_apply(L, filters, x: np.ndarray, rows=None, overwrite_x=False) -
     if order is not None:
         out = [y[order] for y in out]
     return out
-
-
-def _row_steps(L: sp.csr_matrix, rows, top: int) -> RowWalk:
-    """The RowWalk of rows on a plain CSR, cut from it by row indexing.
-
-    B_0 is the sorted distinct rows and B_{d+1} adds the columns of L[B_d].
-    """
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if rows.size and (rows.min() < 0 or rows.max() >= L.shape[0]):
-        raise ValueError(f"rows must lie in [0, {L.shape[0]})")
-    balls = [np.unique(rows)]
-    steps = []
-    for d in range(top):
-        m = L[balls[d]]
-        if d + 1 < top:
-            balls.append(np.union1d(balls[d], m.indices))
-            cols = np.searchsorted(balls[d + 1], m.indices)
-            m = sp.csr_matrix((m.data, cols, m.indptr), shape=(m.shape[0], balls[d + 1].size))
-        steps.append(m)
-    steps.reverse()
-    picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
-    if top > 0:
-        picks.append(None)
-    order = None if np.array_equal(rows, balls[0]) else np.searchsorted(balls[0], rows)
-    return RowWalk(steps, picks, order, L.shape[1])
 
 
 def beta_filter_apply(L: sp.spmatrix, k: int, r: int, x: np.ndarray) -> np.ndarray:

@@ -12,9 +12,13 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import hsgppt.prompt
-from hsgppt.graph import Graph
+from hsgppt.csbm import CsbmParams, generate
+from hsgppt.graph import Graph, kshot_split, laplacian
+from hsgppt.pretrain import PretrainedModel, freeze
+from hsgppt.spectral import FilterBank
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,3 +52,35 @@ def test_prompted_graphs_keep_the_attributes_the_tracer_reads():
     pg = hsgppt.prompt.insert_prompt(g, 10.0 * np.eye(3)[:2], 0.2, 0.9)
     assert pg.cross_edges.shape == (2, 2) and pg.inner_edges.shape == (1, 2)
     assert "prompted" in hsgppt.prompt._Branch.__slots__
+
+
+def test_full_prompt_path_hands_the_filter_a_csr(monkeypatch):
+    # the beta_filter_apply hook reads L.shape, .nnz, .data, .indices and
+    # .indptr off the full path's operand, which must stay a scipy CSR
+    g = generate(CsbmParams(n=40, f=6, d_avg=5.0, h=0.3, mu=4.0, seed=0))
+    pg = hsgppt.prompt.insert_prompt(g, g.features[:3], 0.2, 0.5)
+    assert sp.isspmatrix_csr(pg.laplacian(laplacian(g)))
+    frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 8, seed=0))
+    operands = []
+    apply = hsgppt.prompt.beta_filter_apply
+
+    def spy(L, k, r, x):
+        operands.append(L)
+        return apply(L, k, r, x)
+
+    monkeypatch.setattr(hsgppt.prompt, "beta_filter_apply", spy)
+    cfg = hsgppt.prompt.TuneConfig(epochs=1, seed=0)
+    state = hsgppt.prompt.init_state(g, frozen, cfg, n_classes=2)
+    n_total = g.n_nodes + cfg.n_prompt
+    runs = [
+        lambda: hsgppt.prompt.tune(g, frozen, kshot_split(g, 2, seed=0), cfg),  # validation
+        lambda: hsgppt.prompt.predict(g, frozen, state),
+        lambda: hsgppt.prompt.prompted_encode(g, frozen, state),
+    ]
+    for run in runs:
+        operands.clear()
+        run()
+        assert len(operands) == frozen.model.bank.size
+        for L in operands:
+            assert sp.isspmatrix_csr(L) and L.shape == (n_total, n_total)
+            assert L.nnz == L.data.size == L.indices.size == L.indptr[-1]

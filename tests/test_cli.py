@@ -234,6 +234,31 @@ def test_empty_list_is_usage_error(tmp_path, capsys, command, flag, noun, writte
     assert not (out / written).exists()
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("pretrain", ("--epochs", 0), "epochs"),
+    ("pretrain", ("--hidden", 0), "hidden_dim"),
+    ("tune", ("--eval-every", 0), "eval_every"),
+    ("eval", ("--eval-every", 0), "eval_every"),
+    ("ablate", ("--eval-every", 0), "eval_every"),
+])
+def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, field):
+    # the configs reject these before anything is written
+    data = gen(tmp_path, n=60)
+    out = tmp_path / "o"
+    args = ["--data", data, "--out", out, *flags]
+    if command == "tune":
+        pre = tmp_path / "pre"
+        assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4, "--epochs", 1) == EXIT_OK
+        args += ["--ckpt", pre / "model.ckpt"]
+    elif command in ("eval", "ablate"):
+        args += ["--seeds", "0", "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1]
+    capsys.readouterr()
+    assert run(command, *args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and field in err and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_data_is_data_error(tmp_path):
     assert run("analyze", "--data", tmp_path / "nope", "--out", tmp_path / "o") == EXIT_DATA
 

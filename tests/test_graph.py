@@ -102,7 +102,7 @@ def test_laplacian_normalized_exactly_symmetric_with_isolated_node():
 def test_normalized_laplacian_is_built_once_and_locked(monkeypatch):
     import hsgppt.evaluate as evaluate
     from hsgppt.prompt import insert_prompt
-    from hsgppt.spectral import FilterBank, bank_filter_apply, eigendecompose
+    from hsgppt.spectral import CsrRows, FilterBank, bank_filter_apply, eigendecompose, row_walk
 
     g = generate(CsbmParams(n=60, f=4, d_avg=6.0, h=0.5, mu=4.0, seed=3))
     L = laplacian(g)
@@ -117,7 +117,8 @@ def test_normalized_laplacian_is_built_once_and_locked(monkeypatch):
     bank = FilterBank.full(2).filters
     rows = np.array([7, 2, 7])
     full = bank_filter_apply(L, bank, g.features)
-    for got, want in zip(bank_filter_apply(L, bank, g.features, rows=rows), full):
+    walk = row_walk(CsrRows(L), rows, 2, g.n_nodes)
+    for got, want in zip(bank_filter_apply(walk, bank, g.features), full):
         assert np.array_equal(got, want[rows])
     assert (L[rows] != fresh[rows]).nnz == 0
     pg = insert_prompt(g, 3.0 * np.eye(4)[:2], 0.2, 0.5)

@@ -34,13 +34,14 @@ from hsgppt.prompt import (
     variant_configs,
 )
 from hsgppt.spectral import (
+    CsrRows,
     FilterBank,
     RowWalk,
-    _row_steps,
     bank_filter_apply,
     beta_filter_apply,
     eigendecompose,
     filter_response,
+    row_walk,
 )
 
 
@@ -67,6 +68,11 @@ def reference_laplacian(pg):
     return laplacian_from_edges(combined_edges(pg), pg.n_total)
 
 
+def reference_walk(full, rows, top):
+    """The RowWalk of rows on the oracle's L', walked over its plain CSR."""
+    return row_walk(CsrRows(full), rows, top, full.shape[0])
+
+
 def test_normalize_prompt_restores_column_stats():
     rng = np.random.default_rng(0)
     P = rng.standard_normal((50, 4)) * 7.0 + 3.0
@@ -84,6 +90,18 @@ def test_normalize_prompt_idempotent():
     once, _ = normalize_prompt(P, mu_o, sigma_o)
     twice, _ = normalize_prompt(once, mu_o, sigma_o)
     assert np.max(np.abs(twice - once)) < 1e-10
+
+
+def test_normalize_prompt_ignores_a_positive_per_column_affine_map():
+    # the identity behind a fully wired graph's zero prompt gradient;
+    # measured 1e-15 relative at 10 x 128
+    rng = np.random.default_rng(8)
+    P = rng.standard_normal((10, 128))
+    mu_o, sigma_o = rng.standard_normal(128), rng.random(128) + 0.5
+    a, b = rng.random(128) * 5.0 + 0.1, rng.standard_normal(128) * 3.0
+    want, _ = normalize_prompt(P, mu_o, sigma_o)
+    got, _ = normalize_prompt(a * P + b, mu_o, sigma_o)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_normalize_prompt_constant_column_hits_floor():
@@ -244,7 +262,7 @@ def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
             pg = br.prompted
             fresh = reference_laplacian(pg)
             # the blocks a degree-2 filter multiplies by, equal to those cut from fresh
-            _assert_same_walk(br.lap, _row_steps(fresh, rows, 2))
+            _assert_same_walk(br.lap, reference_walk(fresh, rows, 2))
             indicator = np.eye(pg.n_total)[:, n:]
             gp = beta_filter_apply(fresh, kk, rr, indicator)[rows]
             assert np.max(np.abs(br.gp - gp)) < 1e-12
@@ -269,9 +287,9 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
         row_builds.append(rows)
         return assemble(self, base, rows, top)
 
-    def counting_bank(L, filters, x, rows=None):
+    def counting_bank(L, filters, x):
         row_filters.append(isinstance(L, RowWalk))
-        return bank(L, filters, x, rows=rows)
+        return bank(L, filters, x)
 
     monkeypatch.setattr(prompt_mod, "laplacian_from_edges", counting)
     monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", counting_rows)
@@ -306,8 +324,8 @@ def _assert_same_csr(a, b):
 
 
 def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
-    # the assembler's blocks on a row set equal those _row_steps cuts from
-    # the oracle's L', for every bank order a filter may take
+    # the prompted graph's blocks on a row set equal those walked on the
+    # oracle's L', for every bank order a filter may take
     rng = np.random.default_rng(9)
     for h in (0.2, 0.8):
         g0, frozen = tiny_setup(n=60, f=8, h=h, seed=1)
@@ -332,7 +350,7 @@ def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
                         row_sets += [np.array([17, 60, 5, 17, 0]), np.array([60])]
                     for q in row_sets:
                         for top in range(4):
-                            _assert_same_walk(pg.laplacian(base, q, top), _row_steps(full, q, top))
+                            _assert_same_walk(pg.laplacian(base, q, top), reference_walk(full, q, top))
     with pytest.raises(ValueError, match="rows must lie"):
         pg.laplacian(base, np.array([pg.n_total]), 2)
 
@@ -372,6 +390,27 @@ def test_prompted_laplacian_is_node_permutation_equivariant():
             walk_perm = pgp.laplacian(laplacian(gp), full_perm[rows], top)
             for a, b in zip(bank_filter_apply(walk, filters, x), bank_filter_apply(walk_perm, filters, x_perm)):
                 assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_predict_follows_node_permutations_and_ignores_prompt_row_order(h):
+    # measured 1.1e-16 for both at n=1000
+    g = generate(CsbmParams(n=1000, f=32, d_avg=20.0, h=h, mu=10.0, seed=0))
+    frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 16, seed=0))
+    state = init_state(g, frozen, TuneConfig(seed=0), n_classes=2)
+    rng = np.random.default_rng(1)
+    for p in state.prompts:  # distinct rows per filter
+        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+    P = state.prompts[0].features.value
+    P_in, _ = normalize_prompt(P, *feature_stats(g.features))
+    assert insert_prompt(g, P_in, 0.2, state.prompts[0].tau_cross).cross_edges.size > 0
+    want = predict(g, frozen, state)
+    perm = rng.permutation(g.n_nodes)
+    assert np.max(np.abs(predict(_permuted(g, perm), frozen, state)[perm] - want)) <= 1e-14
+    order = rng.permutation(P.shape[0])
+    for p in state.prompts:
+        p.features.value[...] = p.features.value[order]
+    assert np.max(np.abs(predict(g, frozen, state) - want)) <= 1e-14
 
 
 def _full_row_reference(g, frozen, split, cfg):
@@ -757,9 +796,9 @@ def _record_epoch_work(monkeypatch):
                 assert block.shape[0] < self.n_total and np.diff(block.indptr).min() > 0
         return out
 
-    def counting_bank(L, filters, x, rows=None):
+    def counting_bank(L, filters, x):
         work[-1]["filters"] += 1
-        return bank(L, filters, x, rows=rows)
+        return bank(L, filters, x)
 
     def spy(g, frozen, state, branches, train):
         if train:
