@@ -14,25 +14,30 @@ normalized rows, and each graph's insert_prompt thresholds its own rows of
 it, which are bit-equal to its own P @ X.T. A one-row graph forms its own
 product (_cross_scores says why).
 
-Each frozen encoder runs project -> filter -> bias and activation. The filter
-g(L') acts on rows and W on columns, so g(L')([X; P] W) = (g(L')[X; P]) W, and
-by linearity the original nodes' rows split into a base term g(L')[X W; 0]
-and G_p P W, with G_p = g(L')[:n, n:] the filter on the N_p prompt columns.
-Neither piece depends on the prompt values, and g(L') is symmetric, so the
-prompt gradient is G_p^T ds W^T.
+Each frozen encoder's pre-activation is g(L')([X; P] W) plus the bias. The
+filter g(L') acts on rows and W on columns, so g(L')([X; P] W) =
+(g(L')[X; P]) W, and by linearity the original nodes' rows split into a base
+term g(L')[X W; 0] and G_p P W, with G_p = g(L')[:n, n:] the filter on the
+N_p prompt columns. Neither piece depends on the prompt values, and g(L') is
+symmetric, so the prompt gradient is G_p^T ds W^T. Both pieces come from one
+filter pass per prompted operator and build: a filter that reads an
+operator alone projects first and filters [X W, 0; 0, I]; the filters that
+read one operator together (a shared prompt, or per-filter graphs wired
+alike) filter [X, 0; 0, I] in one power series and project after it,
+(g(L') X) W.
 
 A training epoch's loss reads only the K-shot rows, so training forms both
 pieces, the mixed embeddings and the logits on those rows alone. The filter
 engine runs each step on the ball of rows that later steps read: it takes
 the shot rows' RowWalk, the blocks L'[B_1] (global columns) and L'[B_0]
 (columns renumbered into B_1) at the default order 2. Validation, predict()
-and prompted_encode() read every row and take the full path
-(beta_filter_apply) on L' itself. PromptedGraph.laplacian builds both with
-spectral.row_walk, the one builder of every RowWalk, from PromptedGraph._rows:
-each row a filter reads is its base Laplacian row followed by its wiring row,
-read off the mask and the prompt block, and valued by the normalization rule
-that laplacian_from_edges also uses, so training never forms a structure
-with a row per node. The base rows of a row set are gathered once per call
+and prompted_encode() read every row and take the full path on L' itself.
+PromptedGraph.laplacian builds both with spectral.row_walk, the one builder
+of every RowWalk, from PromptedGraph._rows: each row a filter reads is its
+base Laplacian row followed by its wiring row, read off the mask and the
+prompt block, and valued by the normalization rule that
+laplacian_from_edges also uses, so training never forms a structure with a
+row per node. The base rows of a row set are gathered once per call
 and shared by every prompt graph and build (spectral.CsrRows). The tests
 keep L' built from the combined edge list as the oracle, and walk it with
 the same row_walk over its CsrRows.
@@ -40,9 +45,10 @@ the same row_walk over its CsrRows.
 Within one tune(), predict() or gradient check closure, operators are cached
 by wiring and row set: the wiring is the boolean mask of wired cross pairs
 plus the inner edges, and a branch whose wiring equals that of a branch
-already built on the same rows reuses its Laplacian (rows), G_p and base
-term, so a training epoch whose wiring is unchanged builds no Laplacian and
-runs no sparse product at all.
+already built on the same rows reuses its Laplacian (rows) and, once its
+filter has run on it in the same kind of pass (lone or shared), its G_p and
+base term, so a training epoch whose wiring is unchanged builds no
+Laplacian and runs no sparse product at all.
 """
 
 from __future__ import annotations
@@ -104,8 +110,10 @@ class TuneConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.eval_every < 1:
-            raise ValueError(f"tuning takes eval_every >= 1, not {self.eval_every}")
+        # n_prompt 0 is the no_prompt ablation
+        for name, least in (("epochs", 1), ("eval_every", 1), ("n_prompt", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"tuning takes {name} >= {least}, not {getattr(self, name)}")
 
 
 # ablation variant -> (pre-trains on the low-pass kernel g_{0,C} alone,
@@ -374,19 +382,35 @@ class _Branch:
         self.param = param
 
 
+def _with_identity(x: np.ndarray, n_p: int) -> np.ndarray:
+    """[x, 0; 0, I]: the filter input whose outputs give a base term and G_p."""
+    n, w = x.shape
+    m = np.zeros((n + n_p, w + n_p))
+    m[:n, :w] = x
+    m[n:, w:] = np.eye(n_p)
+    return m
+
+
 class _EdgeSetOperators:
     """Prompted operators keyed by wiring and row set, for one call.
 
     An entry holds the prompted Laplacian (or, for a row set, its RowWalk)
-    and, per filter, the base term and G_p of _Branch on those rows; none
-    depends on the prompt values. Both paths build it by
+    and, per filter and kind of pass, the base term and G_p of _Branch on
+    those rows; none depends on the prompt values. The filters a build reads
+    off one entry and has no blocks of that kind for yet get them from one
+    filter pass (_filter_blocks): a lone pass when one filter reads the
+    entry, a shared pass when more do. A filter's output of a shared pass
+    does not depend on which other filters join it (bank_filter_apply), so
+    the blocks are a function of the build alone: a build gets the bits a
+    fresh cache would give it, and predict() agrees with tune's validation
+    on one state. Both paths build the Laplacian by
     PromptedGraph.laplacian from the graph's cached Laplacian, whose rows
     one CsrRows gathers for the whole call. X and the frozen W_k never
-    change within a call, so the filter input [X W_k, 0; 0, I] is formed
-    once per filter. Per row set, entries used by the previous or the
-    current build survive and older ones are dropped, so a wiring that
-    changes every epoch holds two builds' worth and a validation build
-    never evicts the training entries.
+    change within a call, so each input [X W_k, 0; 0, I] is formed once per
+    call. Per row set, entries used by the previous or the current build
+    survive and older ones are dropped, so a wiring that changes every
+    epoch holds two builds' worth and a validation build never evicts the
+    training entries.
     """
 
     def __init__(self, g: Graph, model):
@@ -401,8 +425,9 @@ class _EdgeSetOperators:
         key = None if rows is None else rows.tobytes()
         self._gens[key] = (self._gens.get(key, (None, {}))[1], {})
 
-    def get(self, pg: PromptedGraph, k: int, rows):
-        """(Laplacian, base, gp) of filter k on pg's edge set, on rows (None: all)."""
+    def get(self, pg: PromptedGraph, ks, rows):
+        """(Laplacian, {k: (base, gp)}) of the filters ks, the build's
+        readers of pg's edge set, on rows (None: all)."""
         prev, cur = self._gens[None if rows is None else rows.tobytes()]
         entry = cur.get(pg.key)
         if entry is None:
@@ -411,31 +436,51 @@ class _EdgeSetOperators:
                 entry = (self._laplacian(pg, rows), {})
             cur[pg.key] = entry
         lap, blocks = entry
-        if k not in blocks:
-            blocks[k] = self._filter_blocks(lap, k, pg.n_total - self.g.n_nodes)
-        return (lap, *blocks[k])
+        shared = len(ks) > 1
+        missing = [k for k in ks if (k, shared) not in blocks]
+        if missing:
+            made = self._filter_blocks(lap, missing, shared, pg.n_total - self.g.n_nodes)
+            blocks.update(((k, shared), block) for k, block in zip(missing, made))
+        return lap, {k: blocks[k, shared] for k in ks}
 
     def _laplacian(self, pg: PromptedGraph, rows):
         if self._base is None:
             self._base = CsrRows(laplacian(self.g))
         return pg.laplacian(self._base, rows, self.model.bank.order)
 
-    def _filter_blocks(self, lap, k: int, n_p: int):
-        n = self.g.n_nodes
-        h = self.model.hidden_dim
+    def _signal(self, k, n_p: int):
+        """[X W_k, 0; 0, I], formed once per call."""
         if (k, n_p) not in self._signals:
-            # one filter pass over [X W, 0; 0, I] gives the base term and G_p
-            m = np.zeros((n + n_p, h + n_p))
-            m[:n, :h] = self.g.features @ self.model.encoders[k].weight.value
-            m[n:, h:] = np.eye(n_p)
-            self._signals[k, n_p] = m
-        m = self._signals[k, n_p]
-        kk, rr = self.model.bank.filters[k]
+            self._signals[k, n_p] = _with_identity(self.g.features @ self.model.encoders[k].weight.value, n_p)
+        return self._signals[k, n_p]
+
+    def _filter_blocks(self, lap, ks, shared: bool, n_p: int):
+        """[(base, gp)] of the filters ks on lap, from one pass.
+
+        A lone pass (one filter k) filters [X W_k, 0; 0, I] (project ->
+        filter). A shared pass runs one power series over [X, 0; 0, I] for
+        all of ks, and each filter projects its output after it:
+        (g(L')X) W_k = g(L')(X W_k). G_p reads the identity columns either
+        way.
+        """
+        n, f, h = self.g.n_nodes, self.g.feature_dim, self.model.hidden_dim
+        filters = [self.model.bank.filters[k] for k in ks]
+        if shared:
+            # a shared pass runs once per new wiring, so its wider input is
+            # formed for it alone and the engine may write into it; a call
+            # whose wirings part never holds it beside the W_k inputs. [:n]
+            # drops the prompt rows of a full pass (a RowWalk has none)
+            outs = bank_filter_apply(lap, filters, _with_identity(self.g.features, n_p), overwrite_x=True)
+            weights = [self.model.encoders[k].weight.value for k in ks]
+            return [(out[:n, :f] @ W, np.ascontiguousarray(out[:n, f:])) for out, W in zip(outs, weights)]
+        m = self._signal(ks[0], n_p)
         if isinstance(lap, RowWalk):
-            (out,) = bank_filter_apply(lap, ((kk, rr),), m)
+            (out,) = bank_filter_apply(lap, filters, m)
         else:
-            out = beta_filter_apply(lap, kk, rr, m)[:n]
-        return np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:])
+            # a lone filter's full-row pass goes through the one-kernel call,
+            # which the benchmark's tracer counts (bench/tracing.py)
+            out = beta_filter_apply(lap, *filters[0], m)[:n]
+        return [(np.ascontiguousarray(out[:, :h]), np.ascontiguousarray(out[:, h:]))]
 
 
 def _cross_scores(blocks, X):
@@ -489,12 +534,18 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
     # prompt graph i first serves branch i, so held[i] carries its edge sets
     held_pgs = None if held is None else [held[i].prompted for i in range(len(prompts))]
     wired = _wire(g, prompts, state.normalize, ops.stats, held_pgs)
+    pick = [0 if state.shared else k for k in range(size)]  # filter k reads graph pick[k]
+    # the filters that read one wiring share its operator and its filter pass
+    readers = {}
+    for k, i in enumerate(pick):
+        pg = wired[i][0]
+        readers.setdefault(pg.key, (pg, []))[1].append(k)
+    built = {key: ops.get(pg, ks, rows) for key, (pg, ks) in readers.items()}
     branches = []
-    for k in range(size):
-        i = 0 if state.shared else k
+    for k, i in enumerate(pick):
         pg, norm_vjp = wired[i]
-        lap, base, gp = ops.get(pg, k, rows)
-        branches.append(_Branch(pg, lap, base, gp, norm_vjp, prompts[i].features))
+        lap, blocks = built[pg.key]
+        branches.append(_Branch(pg, lap, *blocks[k], norm_vjp, prompts[i].features))
     return branches
 
 
@@ -535,7 +586,7 @@ def tuning_loss_fn(g: Graph, frozen: FrozenModel, state: PromptState, shots):
 def _forward(g: Graph, frozen: FrozenModel, state: PromptState, branches, train: bool):
     """Integrated embeddings and logits on the branches' rows.
 
-    Each encoder runs project -> filter -> bias and activation, which equals
+    Each encoder's pre-activation is g(L')([X; P] W) + b, which equals
     filter -> encoder because g(L') acts on rows and W on columns. The
     branch carries the filtered blocks on its rows, built once per edge set
     (see _EdgeSetOperators), so the pre-activations cost one N_p-wide

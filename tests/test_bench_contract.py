@@ -18,7 +18,7 @@ import hsgppt.prompt
 from hsgppt.csbm import CsbmParams, generate
 from hsgppt.graph import Graph, kshot_split, laplacian
 from hsgppt.pretrain import PretrainedModel, freeze
-from hsgppt.spectral import FilterBank
+from hsgppt.spectral import FilterBank, RowWalk
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -56,19 +56,33 @@ def test_prompted_graphs_keep_the_attributes_the_tracer_reads():
 
 def test_full_prompt_path_hands_the_filter_a_csr(monkeypatch):
     # the beta_filter_apply hook reads L.shape, .nnz, .data, .indices and
-    # .indptr off the full path's operand, which must stay a scipy CSR
+    # .indptr off the full path's operand, which must stay a scipy CSR. The
+    # full path filters each distinct operator in one engine call: through
+    # beta_filter_apply when one filter reads it, bank_filter_apply when more
     g = generate(CsbmParams(n=40, f=6, d_avg=5.0, h=0.3, mu=4.0, seed=0))
     pg = hsgppt.prompt.insert_prompt(g, g.features[:3], 0.2, 0.5)
     assert sp.isspmatrix_csr(pg.laplacian(laplacian(g)))
     frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 8, seed=0))
-    operands = []
-    apply = hsgppt.prompt.beta_filter_apply
+    operands, full_builds = [], []
+    one, bank, forward = hsgppt.prompt.beta_filter_apply, hsgppt.prompt.bank_filter_apply, hsgppt.prompt._forward
 
-    def spy(L, k, r, x):
+    def spy_one(L, k, r, x):
         operands.append(L)
-        return apply(L, k, r, x)
+        return one(L, k, r, x)
 
-    monkeypatch.setattr(hsgppt.prompt, "beta_filter_apply", spy)
+    def spy_bank(L, filters, x, **kwargs):
+        if not isinstance(L, RowWalk):
+            operands.append(L)
+        return bank(L, filters, x, **kwargs)
+
+    def spy_forward(g, frozen, state, branches, train):
+        if not train:
+            full_builds.append({id(b.lap) for b in branches})
+        return forward(g, frozen, state, branches, train)
+
+    monkeypatch.setattr(hsgppt.prompt, "beta_filter_apply", spy_one)
+    monkeypatch.setattr(hsgppt.prompt, "bank_filter_apply", spy_bank)
+    monkeypatch.setattr(hsgppt.prompt, "_forward", spy_forward)
     cfg = hsgppt.prompt.TuneConfig(epochs=1, seed=0)
     state = hsgppt.prompt.init_state(g, frozen, cfg, n_classes=2)
     n_total = g.n_nodes + cfg.n_prompt
@@ -79,8 +93,10 @@ def test_full_prompt_path_hands_the_filter_a_csr(monkeypatch):
     ]
     for run in runs:
         operands.clear()
+        full_builds.clear()
         run()
-        assert len(operands) == frozen.model.bank.size
+        (distinct,) = full_builds
+        assert sorted(map(id, operands)) == sorted(distinct)
         for L in operands:
             assert sp.isspmatrix_csr(L) and L.shape == (n_total, n_total)
             assert L.nnz == L.data.size == L.indices.size == L.indptr[-1]

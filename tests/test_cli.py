@@ -240,12 +240,16 @@ def test_empty_list_is_usage_error(tmp_path, capsys, command, flag, noun, writte
     ("tune", ("--eval-every", 0), "eval_every"),
     ("eval", ("--eval-every", 0), "eval_every"),
     ("ablate", ("--eval-every", 0), "eval_every"),
+    ("tune", ("--epochs", 0), "epochs"),
+    ("tune", ("--n-prompt", -1), "n_prompt"),
+    ("eval", ("--tune-epochs", 0), "epochs"),
+    ("ablate", ("--tune-epochs", 0), "epochs"),
 ])
 def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, field):
     # the configs reject these before anything is written
     data = gen(tmp_path, n=60)
     out = tmp_path / "o"
-    args = ["--data", data, "--out", out, *flags]
+    args = ["--data", data, "--out", out]
     if command == "tune":
         pre = tmp_path / "pre"
         assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4, "--epochs", 1) == EXIT_OK
@@ -253,7 +257,8 @@ def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, fi
     elif command in ("eval", "ablate"):
         args += ["--seeds", "0", "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1]
     capsys.readouterr()
-    assert run(command, *args) == EXIT_USAGE
+    # the flags under test come last, so they override the defaults above
+    assert run(command, *args, *flags) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and field in err and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())

@@ -287,9 +287,9 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
         row_builds.append(rows)
         return assemble(self, base, rows, top)
 
-    def counting_bank(L, filters, x):
+    def counting_bank(L, filters, x, **kwargs):
         row_filters.append(isinstance(L, RowWalk))
-        return bank(L, filters, x)
+        return bank(L, filters, x, **kwargs)
 
     monkeypatch.setattr(prompt_mod, "laplacian_from_edges", counting)
     monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", counting_rows)
@@ -305,8 +305,9 @@ def test_laplacian_built_once_per_edge_set_when_wiring_is_fixed(monkeypatch):
     # once for all rows, and never from the combined edges
     assert not full_builds
     assert len(row_builds) == 2 * len(distinct)
-    # training filters once per filter; later epochs run no sparse product
-    assert row_filters == [True] * frozen.model.bank.size
+    # the filters of one operator share one pass, once on the shot rows and
+    # once on all rows; later epochs and validations run no sparse product
+    assert row_filters == [True, False]
 
     full_builds.clear()
     row_builds.clear()
@@ -702,14 +703,16 @@ from hsgppt.pretrain import PretrainConfig, freeze, pretrain
 from hsgppt.prompt import TuneConfig, predict, state_hash, tune
 
 out = {}
-for h in (0.2, 0.8):
+# at h=0.2 every pair is wired, so the filters share one pass; at h=0.8 the
+# per-filter graphs diverge, and a shared prompt makes them share it again
+for h, shared in ((0.2, False), (0.8, False), (0.8, True)):
     g = generate(CsbmParams(n=1000, f=128, d_avg=20.0, h=h, mu=10.0, seed=0))
     model, _ = pretrain(g, PretrainConfig(order=2, hidden_dim=64, epochs=3, patience=3, seed=0))
     frozen = freeze(model)
-    cfg = TuneConfig(n_prompt=10, epochs=30, eval_every=10, seed=0)
+    cfg = TuneConfig(n_prompt=10, epochs=30, eval_every=10, seed=0, shared_prompt=shared)
     state, hist = tune(g, frozen, kshot_split(g, 5, seed=0), cfg)
     probs = predict(g, frozen, state)
-    out[h] = [
+    out[f"{h} shared" if shared else h] = [
         state_hash(state),
         hashlib.sha256(probs.tobytes()).hexdigest(),
         [[epoch, loss.hex(), f1.hex()] for epoch, loss, f1 in hist],
@@ -720,9 +723,10 @@ print(json.dumps(out))
 
 def test_tune_bits_do_not_depend_on_blas_threads(run_at_blas_threads):
     # tune() and predict() are not pinned to one BLAS thread: their
-    # products are shot-row or N_p-wide, and their bits hold at 1 and 2
+    # products are shot-row or N_p-wide, or the shared pass's n x f by f x h
+    # projection, and their bits hold at 1 and 2
     runs = [run_at_blas_threads(_TUNE_RUN, threads) for threads in (1, 2)]
-    assert set(runs[0]) == {"0.2", "0.8"}
+    assert set(runs[0]) == {"0.2", "0.8", "0.8 shared"}
     assert runs[0] == runs[1]
 
 
@@ -796,9 +800,9 @@ def _record_epoch_work(monkeypatch):
                 assert block.shape[0] < self.n_total and np.diff(block.indptr).min() > 0
         return out
 
-    def counting_bank(L, filters, x):
+    def counting_bank(L, filters, x, **kwargs):
         work[-1]["filters"] += 1
-        return bank(L, filters, x)
+        return bank(L, filters, x, **kwargs)
 
     def spy(g, frozen, state, branches, train):
         if train:
@@ -824,10 +828,11 @@ def test_unchanged_wiring_builds_no_edges_and_runs_no_sparse_product(benchmark_g
     # validation only after the last epoch, so every build before it trains
     tune(g, frozen, split, TuneConfig(n_prompt=10, epochs=6, eval_every=10**6, seed=1))
     epochs = work[:6]
-    # the per-filter prompts start equal, so the first build wires once
+    # the per-filter prompts start equal, so the first build wires once and
+    # filters once for every filter
     assert len({br.prompted.key for br in epochs[0]["branches"]}) == 1
     assert epochs[0]["laplacians"] == 1 and epochs[0]["edges"] == 0
-    assert epochs[0]["filters"] == frozen.model.bank.size
+    assert epochs[0]["filters"] == 1
     unchanged = 0
     for prev, cur in zip(epochs, epochs[1:]):
         new = _new_wirings(prev, cur)
@@ -884,3 +889,143 @@ def test_full_row_laplacian_equals_the_reference(benchmark_graph):
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+
+def _one_filter_blocks(br, filt, x):
+    """The (x, identity) column blocks of filter filt alone on br's
+    operator, run on the signal [x, 0; 0, I] as the package runs a lone
+    filter: one engine call, on the original nodes' rows."""
+    n, w = x.shape
+    n_p = br.gp.shape[1]
+    signal = np.zeros((n + n_p, w + n_p))
+    signal[:n, :w] = x
+    signal[n:, w:] = np.eye(n_p)
+    if isinstance(br.lap, RowWalk):
+        (out,) = bank_filter_apply(br.lap, (filt,), signal)
+    else:
+        out = beta_filter_apply(br.lap, *filt, signal)[:n]
+    return out[:, :w], out[:, w:]
+
+
+@pytest.mark.parametrize("h, shared", [(0.2, False), (0.8, True)], ids=["wired", "shared_prompt"])
+def test_filters_of_one_operator_share_a_pass_that_matches_each_filter_alone(h, shared):
+    # at h=0.2 the default tau wires every pair, so the per-filter graphs of
+    # the first build coincide; a shared prompt is one graph at any h
+    g = generate(CsbmParams(n=1000, f=128, d_avg=20.0, h=h, mu=10.0, seed=0))
+    frozen, split = _bench_setup(g)
+    state = init_state(g, frozen, TuneConfig(n_prompt=10, seed=0, shared_prompt=shared), 2)
+    shots = np.unique(np.concatenate(split.shot_indices))
+    n, n_p = g.n_nodes, 10
+    errors = []
+    for rows in (None, shots):
+        ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+        branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+        assert len({id(br.lap) for br in branches}) == 1
+        if not shared:
+            assert branches[0].prompted.mask.all()
+        full = reference_laplacian(branches[0].prompted)
+        at = np.arange(n) if rows is None else rows
+        for k, (br, enc) in enumerate(zip(branches, frozen.model.encoders)):
+            (kk, rr) = frozen.model.bank.filters[k]
+            padded = np.vstack([g.features @ enc.weight.value, np.zeros((n_p, enc.weight.value.shape[1]))])
+            base = beta_filter_apply(full, kk, rr, padded)[at]
+            gp = beta_filter_apply(full, kk, rr, np.eye(n + n_p)[:, n:])[at]
+            errors.append(np.max(np.abs(br.base - base)) / np.max(np.abs(base)))
+            errors.append(np.max(np.abs(br.gp - gp)) / np.max(np.abs(gp)))
+            # filter, then project: the engine's own output on [X, 0; 0, I]
+            x_out, i_out = _one_filter_blocks(br, (kk, rr), g.features)
+            assert np.array_equal(br.base, x_out @ enc.weight.value)
+            assert np.array_equal(br.gp, i_out)
+    # measured: at most 2.4e-15 of the largest entry (base; gp is exact)
+    assert max(errors) < 1e-14
+
+
+def test_an_operator_read_by_one_filter_keeps_its_projected_pass():
+    g, frozen = tiny_setup(h=0.8)
+    split = kshot_split(g, 3, seed=0)
+    state = init_state(g, frozen, TuneConfig(n_prompt=4, seed=0), 2)
+    rng = np.random.default_rng(3)
+    for p in state.prompts:  # distinct rows per filter, so every branch differs
+        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+    for rows in (None, np.unique(np.concatenate(split.shot_indices))):
+        ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+        branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+        assert len({id(br.lap) for br in branches}) == len(branches)
+        for k, (br, enc) in enumerate(zip(branches, frozen.model.encoders)):
+            filt = frozen.model.bank.filters[k]
+            base, gp = _one_filter_blocks(br, filt, g.features @ enc.weight.value)
+            assert np.array_equal(br.base, base) and np.array_equal(br.gp, gp)
+
+
+def test_a_fully_wired_build_filters_once_per_operator(monkeypatch):
+    # one pass over [X, 0; 0, I] for every filter of the one operator
+    g, frozen = tiny_setup()
+    split = kshot_split(g, 2, seed=0)
+    calls = []
+    one, bank = prompt_mod.beta_filter_apply, prompt_mod.bank_filter_apply
+
+    def counting_one(L, k, r, x):
+        calls.append(1)
+        return one(L, k, r, x)
+
+    def counting_bank(L, filters, x, **kwargs):
+        calls.append(len(filters))
+        return bank(L, filters, x, **kwargs)
+
+    monkeypatch.setattr(prompt_mod, "beta_filter_apply", counting_one)
+    monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
+    bank_size = frozen.model.bank.size
+    for shared in (False, True):
+        cfg = TuneConfig(n_prompt=3, tau_inner=0.0, tau_cross=0.0, shared_prompt=shared, seed=0)
+        state = init_state(g, frozen, cfg, 2)
+        for rows in (None, np.unique(np.concatenate(split.shot_indices))):
+            calls.clear()
+            ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+            branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+            assert all(br.prompted.mask.all() for br in branches)
+            assert calls == [bank_size]
+
+
+def test_an_operators_blocks_do_not_depend_on_earlier_builds(monkeypatch):
+    # wiring A is filter 0's at init. Build 1: filter 0 reads A alone (a lone
+    # pass). Build 2: filters 1 and 2 read A (a shared pass), filter 0 reads
+    # another wiring. Build 3: all three read A, so filter 0 needs a shared
+    # pass of its own although it holds lone blocks for A, and 1 and 2 reuse
+    # theirs. Each build must get the bits a fresh cache gives it.
+    g, frozen = tiny_setup(h=0.8)
+    split = kshot_split(g, 3, seed=0)
+    cfg = TuneConfig(n_prompt=4, seed=0)
+    alike = init_state(g, frozen, cfg, 2)
+    apart = init_state(g, frozen, cfg, 2)
+    rng = np.random.default_rng(3)
+    for p in apart.prompts[1:]:
+        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+    pair = init_state(g, frozen, cfg, 2)
+    pair.prompts[0].features.value[...] = apart.prompts[1].features.value
+    passes = []
+    one, bank = prompt_mod.beta_filter_apply, prompt_mod.bank_filter_apply
+
+    def counting_one(L, k, r, x):
+        passes.append(1)
+        return one(L, k, r, x)
+
+    def counting_bank(L, filters, x, **kwargs):
+        passes.append(len(filters))
+        return bank(L, filters, x, **kwargs)
+
+    monkeypatch.setattr(prompt_mod, "beta_filter_apply", counting_one)
+    monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
+    for rows in (None, np.unique(np.concatenate(split.shot_indices))):
+        ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+        first = prompt_mod._build_branches(g, apart, ops, rows=rows)
+        assert len({br.prompted.key for br in first}) == len(first)
+        # build 2 also gives filter 0 a lone pass on filter 1's wiring of build 1
+        for state, readers, want_passes in ((pair, 2, [1, 2]), (alike, 3, [1])):
+            passes.clear()
+            later = prompt_mod._build_branches(g, state, ops, rows=rows)
+            assert sorted(passes) == want_passes
+            on_a = [br for br in later if br.prompted.key == first[0].prompted.key]
+            assert len(on_a) == readers and all(br.lap is first[0].lap for br in on_a)
+            fresh = prompt_mod._build_branches(g, state, prompt_mod._EdgeSetOperators(g, frozen.model), rows=rows)
+            for got, want in zip(later, fresh):
+                assert np.array_equal(got.base, want.base) and np.array_equal(got.gp, want.gp)
