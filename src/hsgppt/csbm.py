@@ -12,6 +12,7 @@ the expected edge homophily is exactly h and the expected degree is d.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,31 +61,66 @@ def edge_probabilities(params: CsbmParams):
     return float(p_in), float(p_out)
 
 
-# Uniforms drawn per step: 32 MiB of doubles at most, whatever the block
-# size. Smaller chunks draw faster (n=50k: 6.9 s at 2^16 against 9.1 s),
-# but glibc raises its mmap threshold to the largest freed mmapped block up
-# to 32 MiB. A buffer this large keeps later n x f temporaries on the heap,
-# as the old whole-block arrays did; at 2^16, pre-training run after
-# generate in the same process took ~2.5x the page faults and ~8% longer.
+# Uniforms drawn per step, shared by a block's two halves: 32 MiB of doubles
+# at most, whatever the block size. Smaller chunks draw faster (n=50k: 6.9 s
+# at 2^16 against 9.1 s), but a freed mmapped block of at most 32 MiB
+# (glibc's DEFAULT_MMAP_THRESHOLD_MAX) raises glibc's mmap threshold to its
+# size. At n=5000 the 25 MB buffers of the two triangular blocks do so, and
+# the full 2^22 buffer, which maps a little more than 32 MiB, does not. The
+# raised threshold keeps later n x f temporaries on the heap; at 2^16,
+# pre-training run after generate in the same process took ~2.5x the page
+# faults and ~8% longer.
 _CHUNK = 1 << 22
+
+
+def _kept_pairs(rng, p, buf, below, start, stop):
+    """Indices in [start, stop) whose uniform, drawn from rng in chunks of
+    len(buf), falls below p; `below` holds each chunk's comparison."""
+    kept = []
+    for lo in range(start, stop, max(len(buf), 1)):
+        u = buf[: min(len(buf), stop - lo)]
+        rng.random(out=u)
+        k = np.flatnonzero(np.less(u, p, out=below[: len(u)]))
+        k += lo
+        kept.append(k)
+    return kept
 
 
 def _sample_block_edges(rng, p, rows, cols, row_offset, col_offset, triangular):
     """Bernoulli edges of one class block, returned as canonical pairs.
 
     One uniform is drawn per pair, in row-major order over the block (the
-    strict upper triangle when `triangular`). The draws are taken in chunks
-    of _CHUNK, which yields the same stream as one draw of the whole block,
-    and only the indices of kept pairs are mapped back to (i, j), so memory
-    is one chunk plus the kept edges.
+    strict upper triangle when `triangular`). The m draws are split into two
+    contiguous halves, drawn at once on the calling thread and one helper
+    thread (Generator.random releases the GIL): the second half reads a copy
+    of rng's bit generator advanced past the first, and rng is left where the
+    second half ends. Both halves draw in chunks into their own part of one
+    buffer of min(m, _CHUNK) doubles, which yields the stream and the final
+    state of one draw of the whole block, and only the indices of kept pairs
+    are mapped back to (i, j), so memory is one buffer plus the kept edges.
     """
     m = rows * (rows - 1) // 2 if triangular else rows * cols
-    buf = np.empty(min(m, _CHUNK))
-    kept = []
-    for start in range(0, m, _CHUNK):
-        u = buf[: min(_CHUNK, m - start)]
-        rng.random(out=u)
-        kept.append(np.flatnonzero(u < p) + start)
+    buf = np.empty(min(m, max(_CHUNK, 2)))  # a one-double _CHUNK still splits
+    # allocated here, so the helper thread's own heap holds only kept indices
+    below = np.empty(len(buf), dtype=bool)
+    head, split = m - m // 2, len(buf) - len(buf) // 2
+    state = rng.bit_generator.state
+    tail_bits = type(rng.bit_generator)()
+    tail_bits.state = state
+    tail_bits.advance(head)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        tail = helper.submit(
+            _kept_pairs, np.random.Generator(tail_bits), p, buf[split:], below[split:], head, m
+        )
+        kept = _kept_pairs(rng, p, buf[:split], below[:split], 0, head)
+        kept += tail.result()
+    # freed before the index mapping, so its arrays reuse these pages instead
+    # of landing above them (set-up's peak RSS at n=5000 then stays put)
+    del buf, below
+    # advance() clears the buffered 32-bit half-word, which random() never touches
+    rng.bit_generator.state = {
+        **tail_bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]
+    }
     k = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
     if triangular:
         # row i holds pairs (i, i+1..rows-1) and starts at i(2 rows - i - 1)/2

@@ -116,10 +116,12 @@ class LinearLayer:
 
         def vjp(dout, neg=None):
             # where(s < 0, a dout, dout) bit for bit, gathered from the slope
-            # table [1, a]: about twice as fast as the masked select
+            # table [1, a]. take runs ~2x faster than the fancy index slope[...]
+            # once glibc's mmap threshold is past its intp index temporary (a
+            # freed larger array raises it), and ~5x faster than the select
             if neg is None:
                 neg = s < 0
-            return dout * slope[neg.view(np.uint8)]
+            return dout * slope.take(neg.view(np.uint8))
 
         return out, vjp
 

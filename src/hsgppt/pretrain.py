@@ -187,7 +187,11 @@ def _forward_scores(model, filtered_pos, filtered_neg, after_first_branch=None):
     for i, (dpre, ws) in enumerate(pos_dz):
         enc_vjp = pos_out[i][1]
         pos_out[i] = None
-        enc_vjp(np.outer(dpre, ws) + weights[i][None, :] * dintegrated, project=False)
+        # dintegrated is row-constant: its weighted row, added to every row,
+        # rounds each element as the n x hidden product did
+        dz = np.outer(dpre, ws)
+        dz += weights[i] * (dsummary / n)
+        enc_vjp(dz, project=False)
     return loss
 
 

@@ -1,5 +1,7 @@
 """Synthetic two-block graph generator: calibration, determinism, signal."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -138,20 +140,49 @@ def test_split_uniform_draws_continue_one_stream():
 
 @pytest.mark.parametrize("chunk", [1, 5, 7, 64, 4099])
 def test_chunked_sampler_matches_whole_block_reference(monkeypatch, chunk):
+    # the two halves of every block, m = 0 and m = 1 included, against one
+    # serial draw: m = 21, 15 and 8383 are odd, 2000 is below half a 4099
+    # chunk and 8383 spans more than two
     monkeypatch.setattr(csbm, "_CHUNK", chunk)
-    for rows, cols in ((1, 1), (2, 2), (2, 3), (3, 5), (17, 17), (40, 23)):
+    shapes = ((1, 1), (2, 2), (2, 3), (3, 5), (7, 7), (17, 17), (40, 23), (1, 2000), (101, 83))
+    for rows, cols in shapes:
         for p in (0.0, 0.3, 1.0):
             for triangular in (True, False):
                 if triangular and rows != cols:
                     continue
                 args = (p, rows, cols, 4, 9, triangular)
                 ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+                # a 32-bit draw leaves half a word buffered, which uniform
+                # draws never touch: the block must leave it in place
+                assert ours.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
                 got = csbm._sample_block_edges(ours, *args)
                 want = triu_mask_block_edges(ref, *args)
                 assert got.dtype == np.int64 and got.shape[1] == 2
                 assert np.array_equal(got, want), (chunk, rows, cols, p, triangular)
-                # the same number of uniforms was consumed
+                # the stream stands where one serial draw leaves it
+                assert ours.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
                 assert ours.random() == ref.random()
+
+
+# sha256 over the edges, features and labels bytes of each benchmark graph
+# (n=5000, d=40, f=128, mu=10, seed 0), as the serial one-draw-per-pair
+# sampler gave them
+PINNED_GRAPHS = {
+    "csbm_n5000_h0.2_seed0": "b78405a1a730264e7f0eacad16644d209ed9ae7aad18e6606024fc09e7397795",
+    "csbm_n5000_h0.8_seed0": "f2d53daa3941a1d1e5ec62d302dc082f00e4187d62a8fbe66e7dffbf9b032dad",
+}
+
+
+def test_benchmark_graphs_match_pinned_bytes(benchmark_graph):
+    g = benchmark_graph
+    digest = hashlib.sha256()
+    for a in (g.edges, g.features, g.labels):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == PINNED_GRAPHS[g.name], (
+        f"{g.name} is not the pinned graph: generate's draws changed, in the "
+        "sampler or in numpy's PCG64 / Generator streams, and every pinned "
+        "checkpoint and benchmark figure built on this graph moves with it"
+    )
 
 
 @pytest.mark.parametrize(

@@ -229,18 +229,46 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_save_graph_text_matches_per_line_format(tmp_path):
     rng = np.random.default_rng(3)
-    edges = np.array([[0, 1], [1, 2], [0, 3], [2, 12345]])
-    feats = rng.standard_normal((12346, 2))
-    labels = rng.integers(-1, 3, size=12346)
-    for lab in (labels, None):
-        g = Graph("toy", edges, feats, labels=lab, n_classes=3 if lab is not None else None)
-        save_graph(g, tmp_path / "ds")
-        # the numpy-scalar f-string loop the text format was defined by
-        want_edges = "".join(f"{u}\t{v}\n" for u, v in g.edges)
-        ys = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
-        want_labels = "".join(f"{y}\n" for y in ys)
-        assert (tmp_path / "ds" / "edges.tsv").read_bytes() == want_edges.encode()
-        assert (tmp_path / "ds" / "labels.tsv").read_bytes() == want_labels.encode()
+    n = 12346
+    # ids of every width from 1 to 5 digits at both ends of an edge, and no edges
+    widths = np.array([[0, 1], [1, 2], [0, 3], [2, 12345], [9, 10], [10, 99], [99, 100],
+                       [100, 999], [999, 1000], [1000, 9999], [9999, 10000], [12344, 12345]])
+    feats = rng.standard_normal((n, 2))
+    mixed = rng.integers(-1, 3, size=n)
+    for edges in (widths, np.empty((0, 2), dtype=np.int64)):
+        for lab in (mixed, -np.ones(n, dtype=np.int64), None):
+            g = Graph("toy", edges, feats, labels=lab, n_classes=3 if lab is not None else None)
+            save_graph(g, tmp_path / "ds")
+            # the numpy-scalar f-string loop the text format was defined by,
+            # and the one %-format over Python ints that wrote it until now
+            want_edges = "".join(f"{u}\t{v}\n" for u, v in g.edges)
+            assert want_edges == ("%d\t%d\n" * g.n_edges) % tuple(g.edges.ravel().tolist())
+            ys = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
+            want_labels = "".join(f"{y}\n" for y in ys)
+            assert (tmp_path / "ds" / "edges.tsv").read_bytes() == want_edges.encode()
+            assert (tmp_path / "ds" / "labels.tsv").read_bytes() == want_labels.encode()
+            # a shape header, then the features as the astype copy wrote them
+            want_bin = np.asarray(feats.shape, dtype="<u8").tobytes() + feats.astype("<f8").tobytes()
+            assert (tmp_path / "ds" / "features.bin").read_bytes() == want_bin
+
+
+def test_load_graph_canonical_edges_match_reference_reduction(tmp_path):
+    # reversed pairs, duplicates in both orientations and self-loops
+    n = 40
+    rng = np.random.default_rng(8)
+    raw = rng.integers(0, n, size=(3000, 2))
+    ds = tmp_path / "ds"
+    save_graph(Graph("e", np.empty((0, 2), dtype=np.int64), rng.standard_normal((n, 2))), ds)
+    (ds / "edges.tsv").write_text("".join(f"{u}\t{v}\n" for u, v in raw.tolist()))
+    # the reduction _read_edges used before: min and max over each row
+    kept = raw[raw[:, 0] != raw[:, 1]]
+    canon = np.stack([kept.min(axis=1), kept.max(axis=1)], axis=1)
+    _, first = np.unique(canon[:, 0] * n + canon[:, 1], return_index=True)
+    want = canon[np.sort(first)]
+    assert _read_edges(ds / "edges.tsv", n).tobytes() == want.tobytes()
+    g = load_graph(ds)
+    order = np.lexsort((want[:, 1], want[:, 0]))
+    assert g.edges.tobytes() == want[order].tobytes()
 
 
 def test_load_graph_errors(tmp_path):
