@@ -108,17 +108,9 @@ class EvalReport:
 
     def to_json_dict(self) -> dict:
         # wall_clock is left out so re-runs are bit-exact
-        return {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "seeds": list(self.seeds),
-            "per_seed": [asdict(r) for r in self.per_seed],
-            "mean_accuracy": self.mean_accuracy,
-            "mean_f1": self.mean_f1,
-            "std_accuracy": self.std_accuracy,
-            "std_f1": self.std_f1,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        out = asdict(self)
+        del out["wall_clock"]
+        return out
 
     def to_text(self) -> str:
         # wall_clock is left out so re-runs are bit-exact

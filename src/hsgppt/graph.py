@@ -59,6 +59,12 @@ def _locked(arr):
     return arr
 
 
+def _locked_csr(m):
+    for a in (m.data, m.indices, m.indptr):
+        a.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with node features and optional node labels.
@@ -115,10 +121,12 @@ class Graph:
     def normalized_laplacian(self) -> sp.csr_matrix:
         """I - D^{-1/2} A D^{-1/2}, built on first use and kept; its arrays
         are locked like the graph's own."""
-        L = laplacian_from_edges(self.edges, self.n_nodes)
-        for a in (L.data, L.indices, L.indptr):
-            a.setflags(write=False)
-        return L
+        return _locked_csr(laplacian_from_edges(self.edges, self.n_nodes))
+
+    @cached_property
+    def unnormalized_laplacian(self) -> sp.csr_matrix:
+        """D - A, built on first use, kept and locked likewise."""
+        return _locked_csr(laplacian_from_edges(self.edges, self.n_nodes, "unnormalized"))
 
     @property
     def n_edges(self) -> int:
@@ -182,10 +190,12 @@ def laplacian_from_edges(edges, n, kind="normalized") -> sp.csr_matrix:
 
 
 def laplacian(g: Graph, kind: LaplacianKind = "normalized") -> sp.csr_matrix:
-    """The graph's Laplacian; the normalized one is g's read-only cached copy."""
+    """The graph's Laplacian of either kind, g's read-only cached copy."""
     if kind == "normalized":
         return g.normalized_laplacian
-    return laplacian_from_edges(g.edges, g.n_nodes, kind)
+    if kind == "unnormalized":
+        return g.unnormalized_laplacian
+    raise ValueError(f"unknown laplacian kind: {kind!r}")
 
 
 def edge_homophily(g: Graph) -> float:
@@ -414,29 +424,17 @@ def _first_occurrences(edges, n):
 
 
 def _read_labels(path: Path, n: int, n_classes: int):
-    tokens = []
     with _lines(path) as fh:
-        for i, line in enumerate(fh):
-            tok = line.strip()
-            if not tok:
-                continue
-            tokens.append((i + 1, tok))
+        tokens = [(i + 1, tok) for i, line in enumerate(fh) if (tok := line.strip())]
     if len(tokens) != n:
         raise ShapeMismatchError(
             f"expected {n} label lines, found {len(tokens)}", path=path
         )
-    ints = []
-    numeric = True
-    for lineno, tok in tokens:
-        if tok == "-1":
-            ints.append(-1)
-            continue
-        try:
-            ints.append(int(tok))
-        except ValueError:
-            numeric = False
-            break
-    if numeric:
+    try:
+        ints = [int(tok) for _, tok in tokens]
+    except ValueError:
+        ints = None
+    if ints is not None:
         # checked as Python ints: a label past int64 is out of range, not an overflow
         bad = next((i for i, y in enumerate(ints) if not -1 <= y < n_classes), None)
         if bad is not None:

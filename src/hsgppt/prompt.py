@@ -144,27 +144,19 @@ def variant_configs(
 
 
 @dataclass
-class PromptGraph:
-    features: Param  # (n_prompt, feature_dim)
-    tau_inner: float
-    tau_cross: float
-
-    @property
-    def n_prompt(self) -> int:
-        return self.features.value.shape[0]
-
-
-@dataclass
 class PromptState:
-    prompts: tuple  # one PromptGraph per filter, or a single shared one
+    """The tunable prompts and head, and the thresholds that wire every
+    prompt graph."""
+
+    prompts: tuple  # one (n_prompt, feature_dim) Param per filter, or a single shared one
     head: LinearLayer
     shared: bool
     normalize: bool
+    tau_inner: float
+    tau_cross: float
 
     def tunable_params(self):
-        out = [p.features for p in self.prompts]
-        out.extend(self.head.params())
-        return out
+        return [*self.prompts, *self.head.params()]
 
 
 def feature_stats(X: np.ndarray):
@@ -366,9 +358,10 @@ class _Branch:
 
     base = (g(L') [X W; 0])[rows] and gp = g(L')[rows, n:], so the original
     nodes' filtered pre-activations are base + gp (P_in W), P_in being
-    prompted.prompt_features. rows are all original nodes, or the sorted
-    shot rows in training; lap is what the filter ran on, L' itself or, in
-    training, the RowWalk of the shot rows (PromptedGraph.laplacian).
+    prompted.prompt_features. rows are all original nodes, or in training
+    the shot rows in ascending order (_loss_rows), every one a loss row; lap
+    is what the filter ran on, L' itself or, in training, the RowWalk of the
+    shot rows (PromptedGraph.laplacian).
     """
 
     __slots__ = ("prompted", "lap", "base", "gp", "norm_vjp", "param")
@@ -502,25 +495,22 @@ def _cross_scores(blocks, X):
     return out
 
 
-def _wire(g: Graph, prompts, normalize: bool, stats, held=None):
+def _wire(g: Graph, state: PromptState, prompts, stats, held=None):
     """(PromptedGraph, normalization vjp or None) per prompt graph, wired
-    from its current rows or, given one held PromptedGraph per prompt graph,
-    on their edge sets."""
-    inserted = []
-    for prompt in prompts:
-        P = prompt.features.value
-        if P.shape[0] and normalize:
-            inserted.append(normalize_prompt(P, *stats))
-        else:
-            inserted.append((P, None))
+    from its current rows by the state's thresholds or, given one held
+    PromptedGraph per prompt graph, on their edge sets."""
+    inserted = [
+        normalize_prompt(p.value, *stats) if p.value.shape[0] and state.normalize else (p.value, None)
+        for p in prompts
+    ]
     if held is not None:
         # edge structure held constant (gradient checking): only features move
         return [(replace(pg, prompt_features=P_in), vjp) for pg, (P_in, vjp) in zip(held, inserted)]
     # the stacked scores die on return, before any operator is built
     scores = _cross_scores([P_in for P_in, _ in inserted], g.features)
     return [
-        (insert_prompt(g, P_in, p.tau_inner, p.tau_cross, scores=s), vjp)
-        for p, (P_in, vjp), s in zip(prompts, inserted, scores)
+        (insert_prompt(g, P_in, state.tau_inner, state.tau_cross, scores=s), vjp)
+        for (P_in, vjp), s in zip(inserted, scores)
     ]
 
 
@@ -533,7 +523,7 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
     prompts = state.prompts[: 1 if state.shared else size]
     # prompt graph i first serves branch i, so held[i] carries its edge sets
     held_pgs = None if held is None else [held[i].prompted for i in range(len(prompts))]
-    wired = _wire(g, prompts, state.normalize, ops.stats, held_pgs)
+    wired = _wire(g, state, prompts, ops.stats, held_pgs)
     pick = [0 if state.shared else k for k in range(size)]  # filter k reads graph pick[k]
     # the filters that read one wiring share its operator and its filter pass
     readers = {}
@@ -545,12 +535,15 @@ def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=N
     for k, i in enumerate(pick):
         pg, norm_vjp = wired[i]
         lap, blocks = built[pg.key]
-        branches.append(_Branch(pg, lap, *blocks[k], norm_vjp, prompts[i].features))
+        branches.append(_Branch(pg, lap, *blocks[k], norm_vjp, prompts[i]))
     return branches
 
 
 def _loss_rows(shots):
-    """(sorted distinct shot rows, each shot's position among them)."""
+    """(ascending distinct shot rows, each shot's position among them).
+
+    The one place the training rows' order is set: the row walk, the
+    branches' blocks and the logits all come in this order."""
     shots = np.asarray(shots, dtype=np.int64).reshape(-1)
     rows = np.unique(shots)
     return rows, np.searchsorted(rows, shots)
@@ -594,7 +587,8 @@ def _forward(g: Graph, frozen: FrozenModel, state: PromptState, branches, train:
     and never formed.
 
     Returns (integrated, logits, backward) where backward(dlogits) sends
-    gradients into the prompt features and the head.
+    gradients into the prompt features and the head. Training passes only
+    the loss rows, so backward runs on every row it is given.
     """
     model = frozen.model
     weights = softmax_over_filters(model.mix.value)
@@ -605,22 +599,19 @@ def _forward(g: Graph, frozen: FrozenModel, state: PromptState, branches, train:
         s = br.gp @ (br.prompted.prompt_features @ enc.weight.value)
         s += br.base
         s += enc.bias.value
-        z, _ = enc.activate(s)
+        z, act_vjp = enc.activate(s)
         integrated += weights[k][None, :] * z
-        tapes.append((br, enc, s))
+        tapes.append((br, enc, act_vjp))
     logits, head_vjp = state.head.apply(integrated)
 
     def backward(dlogits):
         dintegrated = head_vjp(dlogits)
-        # rows with a zero logit gradient (all but the loss mask) add nothing
-        rows = np.flatnonzero(dlogits.any(axis=1))
-        for k, (br, enc, s) in enumerate(tapes):
+        for k, (br, enc, act_vjp) in enumerate(tapes):
             if br.gp.shape[1] == 0:
                 continue  # no prompt rows, nothing tunable in this branch
-            _, act_vjp = enc.activate(s[rows])
-            ds = act_vjp(weights[k][None, :] * dintegrated[rows])
+            ds = act_vjp(weights[k][None, :] * dintegrated)
             # g(L') is symmetric, so the prompt rows receive G_p^T ds W^T
-            dprompt = (br.gp[rows].T @ ds) @ enc.weight.value.T
+            dprompt = (br.gp.T @ ds) @ enc.weight.value.T
             br.param.grad += br.norm_vjp(dprompt) if br.norm_vjp is not None else dprompt
 
     return integrated, logits, backward
@@ -655,25 +646,18 @@ def init_state(
     tau_cross = cfg.tau_cross
     if tau_cross is None:
         tau_cross = default_tau_cross(edge_homophily(g)) if g.labels is not None else TAU_CROSS_HETEROPHILIC
-    n_graphs = 1 if (cfg.shared_prompt or cfg.n_prompt == 0) else frozen.model.bank.size
+    shared = cfg.shared_prompt or cfg.n_prompt == 0
+    n_graphs = 1 if shared else frozen.model.bank.size
     # one draw replicated across per-filter graphs: at init the per-filter
     # family coincides with the shared configuration (same rows, same inserted
     # edges, identical rng state left for the head), and the branches then
     # specialise only through branch-specific gradients
     rows0 = rng.standard_normal((cfg.n_prompt, g.feature_dim)) * sigma_o + mu_o
-    prompts = []
-    for i in range(n_graphs):
-        name = _prompt_name(i, n_graphs)
-        prompts.append(
-            PromptGraph(
-                features=Param(rows0.copy(), name), tau_inner=cfg.tau_inner, tau_cross=tau_cross
-            )
-        )
+    prompts = tuple(Param(rows0.copy(), _prompt_name(i, n_graphs)) for i in range(n_graphs))
     head = LinearLayer(
         frozen.model.hidden_dim, n_classes, rng, activation="identity", prefix="head"
     )
-    shared = cfg.shared_prompt or cfg.n_prompt == 0
-    return PromptState(prompts=tuple(prompts), head=head, shared=shared, normalize=cfg.normalize)
+    return PromptState(prompts, head, shared, cfg.normalize, cfg.tau_inner, tau_cross)
 
 
 def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
@@ -733,7 +717,6 @@ def predict(g: Graph, frozen: FrozenModel, state: PromptState) -> np.ndarray:
 
 
 def state_bytes(state: PromptState) -> bytes:
-    p0 = state.prompts[0]
     meta = [
         len(state.prompts),
         1 if state.shared else 0,
@@ -741,8 +724,8 @@ def state_bytes(state: PromptState) -> bytes:
         state.head.weight.value.shape[0],
         state.head.weight.value.shape[1],
     ]
-    floats = [p0.tau_inner, p0.tau_cross]
-    arrays = [(p.features.name, p.features.value) for p in state.prompts]
+    floats = [state.tau_inner, state.tau_cross]
+    arrays = [(p.name, p.value) for p in state.prompts]
     arrays.append((state.head.weight.name, state.head.weight.value))
     arrays.append((state.head.bias.name, state.head.bias.value))
     return pack_arrays(STATE_MAGIC, meta, arrays, floats)
@@ -783,13 +766,9 @@ def state_from_bytes(blob: bytes) -> PromptState:
     head_shapes = by_name["head.weight"].shape, by_name["head.bias"].shape
     if head_shapes != ((hidden, n_classes), (n_classes,)):
         raise ValueError(f"head arrays do not match hidden {hidden}, n_classes {n_classes}")
-    tau_inner, tau_cross = floats
-    prompts = tuple(
-        PromptGraph(features=Param(by_name[name], name), tau_inner=tau_inner, tau_cross=tau_cross)
-        for name in names
-    )
+    prompts = tuple(Param(by_name[name], name) for name in names)
     rng = np.random.default_rng(0)
     head = LinearLayer(hidden, n_classes, rng, activation="identity", prefix="head")
     head.weight.value[...] = by_name["head.weight"]
     head.bias.value[...] = by_name["head.bias"]
-    return PromptState(prompts=prompts, head=head, shared=bool(shared), normalize=bool(normalize))
+    return PromptState(prompts, head, bool(shared), bool(normalize), *floats)

@@ -107,37 +107,39 @@ class FilterBank:
 class RowWalk(NamedTuple):
     """The operands of the row path for one row set and one degree `top`.
 
-    With B_0 the sorted distinct rows and B_{d+1} = B_d with the columns of
-    L[B_d], steps[j - 1] forms T_j on B_{top-j}: it is L[B_{top-j}], its
-    columns renumbered into B_{top-j+1}, except steps[0], which keeps L's
-    columns because T_1 reads x on every row. picks[j] selects B_0 within
-    T_j's rows (picks[0] within x's, None once T_j is on B_0), and order
-    gathers the requested rows from B_0 (None when they are B_0). n is L's
-    order. row_walk builds it.
+    With B_0 the rows (ascending, distinct) and B_{d+1} = B_d with the
+    columns of L[B_d], steps[j - 1] forms T_j on B_{top-j}: it is
+    L[B_{top-j}], its columns renumbered into B_{top-j+1}, except steps[0],
+    which keeps L's columns because T_1 reads x on every row. picks[j]
+    selects B_0 within T_j's rows (picks[0] within x's, None once T_j is on
+    B_0). n is L's order. row_walk builds it.
     """
 
     steps: list
     picks: list
-    order: np.ndarray | None
     n: int
 
 
 def row_walk(rows_of, rows, top: int, n: int) -> RowWalk:
-    """The RowWalk of rows (node indices, any order, repeats allowed) for a
-    degree-top filter on an operator with n rows and columns.
+    """The RowWalk of rows (node indices, strictly increasing) for a
+    degree-top filter on an operator with n rows and columns; the filter's
+    outputs come in the same ascending order.
 
-    rows_of(q) gives the (lengths, columns) of the operator's rows q (sorted,
-    distinct), one row after another, and rows_of(q, values=True) gives
-    (lengths, columns, values). The balls are walked on the columns alone;
-    the values are asked for once, on the largest ball B_{top-1}, and the
-    smaller blocks are cut from it. No row outside B_{top-1} is read.
+    rows_of(q) gives the (lengths, columns) of the operator's rows q
+    (ascending, distinct), one row after another, and rows_of(q,
+    values=True) gives (lengths, columns, values). The balls are walked on
+    the columns alone; the values are asked for once, on the largest ball
+    B_{top-1}, and the smaller blocks are cut from it. No row outside
+    B_{top-1} is read.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
+    if np.any(rows[1:] <= rows[:-1]):
+        raise ValueError("rows must be strictly increasing")
+    if rows.size and (rows[0] < 0 or rows[-1] >= n):
         raise ValueError(f"rows must lie in [0, {n})")
     reached = np.zeros(n, dtype=bool)
     reached[rows] = True
-    balls = [np.flatnonzero(reached)]
+    balls = [rows]
     for _ in range(top - 1):
         reached[rows_of(balls[-1])[1]] = True
         balls.append(np.flatnonzero(reached))
@@ -155,8 +157,7 @@ def row_walk(rows_of, rows, top: int, n: int) -> RowWalk:
             steps.append(sp.csr_matrix(block, shape=(at.size, balls[d + 1].size)))
     picks = [balls[0]] + [np.searchsorted(balls[top - j], balls[0]) for j in range(1, top)]
     picks += [None] * (top > 0)
-    order = None if np.array_equal(rows, balls[0]) else np.searchsorted(balls[0], rows)
-    return RowWalk(steps, picks, order, n)
+    return RowWalk(steps, picks, n)
 
 
 class CsrRows:
@@ -223,12 +224,12 @@ def bank_filter_apply(L, filters, x: np.ndarray, overwrite_x=False) -> list:
     order 10 (a per-kernel (I - L/2)^j ladder, kept in the tests as an
     oracle, stays near 5e-15 but takes C(C+1)/2 products for a full bank).
 
-    L is a matrix, or the RowWalk of some rows (row_walk), which asks for
-    those rows of every output only: out[i] equals the full output's [rows],
-    bit for bit. With B_d = N^d[rows] the balls of L's sparsity pattern, T_j
-    is needed only on B_{C-j}, so each product runs with L[B_{C-j}], its
-    columns renumbered into B_{C-j+1}, and the table is formed on B_0. The
-    walk's degree must be C.
+    L is a matrix, or the RowWalk of some ascending rows (row_walk), which
+    asks for those rows of every output only: out[i] equals the full
+    output's [rows], bit for bit. With B_d = N^d[rows] the balls of L's
+    sparsity pattern, T_j is needed only on B_{C-j}, so each product runs
+    with L[B_{C-j}], its columns renumbered into B_{C-j+1}, and the table is
+    formed on B_0. The walk's degree must be C.
     """
     x = np.asarray(x, dtype=np.float64)
     n = L.n if isinstance(L, RowWalk) else L.shape[1]
@@ -242,9 +243,9 @@ def bank_filter_apply(L, filters, x: np.ndarray, overwrite_x=False) -> list:
     if isinstance(L, RowWalk):
         if len(L.steps) != top:
             raise ValueError(f"a RowWalk of degree {len(L.steps)} takes filters of that degree, not {top}")
-        steps, picks, order = L.steps, L.picks, L.order
+        steps, picks = L.steps, L.picks
     else:
-        steps, picks, order = [L] * top, [None] * (top + 1), None
+        steps, picks = [L] * top, [None] * (top + 1)
 
     # needed: the table entries with r >= 1 that some output is formed from;
     # reads[e]: how many outputs and needed entries still read entry e
@@ -279,8 +280,6 @@ def bank_filter_apply(L, filters, x: np.ndarray, overwrite_x=False) -> list:
     for c, key in zip(consts, filters):
         y, own = take(key)
         out.append(np.multiply(y, c, out=y if own else None))
-    if order is not None:
-        out = [y[order] for y in out]
     return out
 
 

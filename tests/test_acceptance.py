@@ -329,7 +329,7 @@ def test_criterion_12_performance_budget():
     frozen = freeze(PretrainedModel(FilterBank.full(2), 128, 64, seed=0))
     backbone = sum(p.value.size for p in frozen.model.params())
     state = init_state(g, frozen, TuneConfig(n_prompt=10, seed=0), n_classes=2)
-    per_prompt = state.prompts[0].features.value.size
+    per_prompt = state.prompts[0].value.size
     all_tunable = sum(p.value.size for p in state.tunable_params())
     ratio_prompt = per_prompt / backbone
     ratio_all = all_tunable / backbone

@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, config precedence, artifacts, determinism."""
 
+import hashlib
 import json
 import struct
 
@@ -57,6 +58,35 @@ def test_analyze_outputs(tmp_path, capsys):
     assert report["energy_identity"]["max_abs_error"] < 1e-9
     header = (out / "s_high.tsv").read_text().splitlines()[0]
     assert header == "dim\ts_high"
+
+
+# sha256 of analysis.json for each --kind on gen-csbm --n 300 --f 16 --d 8
+# --h 0.3 --mu 6 --seed 0
+PINNED_ANALYSIS = {
+    "normalized": "7b36dc2393d030b2dad475de512881eaeb1326bc2fdc1076e79310253afddd04",
+    "unnormalized": "b0d6df8491333b3f4bad423273cff7eae3222518506b6d9a00fd81778b0d7b9c",
+}
+
+
+def test_analyze_builds_each_laplacian_once(tmp_path, monkeypatch, capsys):
+    # the energy identity reads D - A once per feature column; the graph
+    # builds it once and every column reads that copy
+    import hsgppt.graph as graph_mod
+
+    data = gen(tmp_path, n=300, f=16, d=8.0, mu=6.0)
+    builds, build = [], graph_mod.laplacian_from_edges
+
+    def counting(edges, n, kind="normalized"):
+        builds.append(kind)
+        return build(edges, n, kind)
+
+    monkeypatch.setattr(graph_mod, "laplacian_from_edges", counting)
+    for kind, digest in PINNED_ANALYSIS.items():
+        builds.clear()
+        out = tmp_path / kind
+        assert run("analyze", "--data", data, "--out", out, "--kind", kind) == EXIT_OK
+        assert sorted(builds) == ["normalized", "unnormalized"], kind
+        assert hashlib.sha256((out / "analysis.json").read_bytes()).hexdigest() == digest, kind
 
 
 def test_analyze_eigen_limit_skips_dense_part(tmp_path):

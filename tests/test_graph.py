@@ -115,7 +115,7 @@ def test_normalized_laplacian_is_built_once_and_locked(monkeypatch):
     # every consumer runs on the locked matrix and leaves it as it was
     before = L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()
     bank = FilterBank.full(2).filters
-    rows = np.array([7, 2, 7])
+    rows = np.array([2, 7])
     full = bank_filter_apply(L, bank, g.features)
     walk = row_walk(CsrRows(L), rows, 2, g.n_nodes)
     for got, want in zip(bank_filter_apply(walk, bank, g.features), full):
@@ -137,9 +137,31 @@ def test_normalized_laplacian_is_built_once_and_locked(monkeypatch):
     assert (L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()) == before
 
 
+def test_unnormalized_laplacian_is_built_once_and_locked():
+    from hsgppt.spectral import energy_identity_check, high_freq_profile
+
+    g = generate(CsbmParams(n=60, f=4, d_avg=6.0, h=0.5, mu=4.0, seed=3))
+    L = laplacian(g, "unnormalized")
+    assert laplacian(g, "unnormalized") is L and g.unnormalized_laplacian is L
+    assert L is not laplacian(g)
+    fresh = laplacian_from_edges(g.edges, g.n_nodes, "unnormalized")
+    assert (L != fresh).nnz == 0 and np.array_equal(L.data, fresh.data)
+    assert not any(a.flags.writeable for a in (L.data, L.indices, L.indptr))
+    with pytest.raises(ValueError, match="read-only"):
+        L.data[0] = 0.0
+    # its readers run on the locked matrix and leave it as it was
+    before = L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()
+    high_freq_profile(g, "unnormalized")
+    for j in range(g.feature_dim):
+        energy_identity_check(g, g.features[:, j])
+    assert (L.data.tobytes(), L.indices.tobytes(), L.indptr.tobytes()) == before
+
+
 def test_laplacian_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         laplacian_from_edges(np.array([[0, 1]]), 2, "rw")
+    with pytest.raises(ValueError, match="kind"):
+        laplacian(path_graph(3), "rw")
 
 
 def test_edge_homophily_hand_case():

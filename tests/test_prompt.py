@@ -1,7 +1,10 @@
 """Prompt graphs: normalization, wiring, tuning loop, label hygiene."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -192,7 +195,7 @@ def test_prompted_encode_matches_dense_eigenbasis_oracle(shared):
     state = init_state(g, frozen, TuneConfig(n_prompt=4, seed=0, shared_prompt=shared), 2)
     rng = np.random.default_rng(3)
     for p in state.prompts:  # distinct rows per filter, so every branch differs
-        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+        p.value[...] += rng.standard_normal(p.value.shape)
     model = frozen.model
     weights = softmax_over_filters(model.mix.value)
     mu_o, sigma_o = feature_stats(g.features)
@@ -200,8 +203,8 @@ def test_prompted_encode_matches_dense_eigenbasis_oracle(shared):
     wired = 0
     for k, (filt, enc) in enumerate(zip(model.bank.filters, model.encoders)):
         prompt = state.prompts[0 if shared else k]
-        P_in, _ = normalize_prompt(prompt.features.value, mu_o, sigma_o)
-        pg = insert_prompt(g, P_in, prompt.tau_inner, prompt.tau_cross)
+        P_in, _ = normalize_prompt(prompt.value, mu_o, sigma_o)
+        pg = insert_prompt(g, P_in, state.tau_inner, state.tau_cross)
         wired += len(pg.cross_edges)
         dec = eigendecompose(reference_laplacian(pg))
         U, lam = dec.eigenvectors, np.clip(dec.eigenvalues, 0.0, 2.0)
@@ -233,7 +236,7 @@ def _edge_key(branch):
 
 
 def _assert_same_walk(got, want):
-    """Two RowWalks hold the same blocks, picks and gather, bit for bit."""
+    """Two RowWalks hold the same blocks and picks, bit for bit."""
     assert isinstance(got, RowWalk) and got.n == want.n
     assert len(got.steps) == len(want.steps)
     for a, b in zip(got.steps, want.steps):
@@ -242,8 +245,6 @@ def _assert_same_walk(got, want):
     assert len(got.picks) == len(want.picks)
     for a, b in zip(got.picks, want.picks):
         assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
-    assert (got.order is None) == (want.order is None)
-    assert got.order is None or np.array_equal(got.order, want.order)
 
 
 def test_tune_uses_the_current_wiring_when_it_changes(monkeypatch):
@@ -345,15 +346,20 @@ def test_prompted_laplacian_rows_equal_full_rows_bit_for_bit():
                         assert pg.cross_edges.shape[0] == n_p * g.n_nodes
                     full = reference_laplacian(pg)
                     _assert_same_csr(pg.laplacian(base), full)
-                    # sorted, isolated, unsorted with repeats and a prompt row, all
+                    # several, isolated, with a prompt row, a prompt row alone, all
                     row_sets = [np.array([0, 5, 17]), np.array([5]), np.arange(pg.n_total)]
                     if n_p:
-                        row_sets += [np.array([17, 60, 5, 17, 0]), np.array([60])]
+                        row_sets += [np.array([0, 5, 17, 60]), np.array([60])]
                     for q in row_sets:
                         for top in range(4):
                             _assert_same_walk(pg.laplacian(base, q, top), reference_walk(full, q, top))
     with pytest.raises(ValueError, match="rows must lie"):
         pg.laplacian(base, np.array([pg.n_total]), 2)
+    # rows come in ascending order, each once
+    for q in (np.array([17, 60, 5, 17, 0]), np.array([5, 17, 17]), np.array([17, 5])):
+        for top in range(4):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                pg.laplacian(base, q, top)
 
 
 def _permuted(g, perm):
@@ -363,34 +369,62 @@ def _permuted(g, perm):
     return Graph(g.name, edges, g.features[inv], labels=g.labels[inv], n_classes=2)
 
 
-def test_prompted_laplacian_is_node_permutation_equivariant():
-    # relabelling the original nodes relabels L' entry for entry, bit for
-    # bit, and the row walks' filtered rows follow them
-    rng = np.random.default_rng(13)
-    g, frozen = tiny_setup(n=60, f=8, h=0.8, seed=4)
-    n = g.n_nodes
+def _assert_permutation_equivariant(g, P, tau_inner, tau_cross, rows, rng):
+    """Relabelling g's original nodes by a random permutation relabels L'
+    entry for entry, bit for bit, and the row walks' filtered rows follow
+    them to within 1e-14 of their scale (measured 3.4e-15 on the n=5000
+    graphs). Both sides walk ascending rows, so the relabelled side's
+    outputs come in the order of its own labels. Returns the unrelabelled
+    prompted graph."""
+    n, n_p = g.n_nodes, P.shape[0]
     perm = rng.permutation(n)
     gp = _permuted(g, perm)
     # prompts keep their indices; original node i becomes perm[i]
-    full_perm = np.concatenate([perm, np.arange(n, n + 4)])
-    P = rng.standard_normal((4, g.feature_dim)) * 2.0
-    x = rng.standard_normal((n + 4, 3))
+    full_perm = np.concatenate([perm, np.arange(n, n + n_p)])
+    x = rng.standard_normal((n + n_p, 3))
     x_perm = np.empty_like(x)
     x_perm[full_perm] = x
-    rows = np.array([3, 17, 61, 40])
+    pg = insert_prompt(g, P, tau_inner, tau_cross)
+    pgp = insert_prompt(gp, P, tau_inner, tau_cross)
+    # compared as sparse matrices: a dense L' at n=5000 takes 200 MB
+    want = pg.laplacian(laplacian(g)).tocoo()
+    moved = sp.csr_matrix((want.data, (full_perm[want.row], full_perm[want.col])), shape=want.shape)
+    moved.sort_indices()
+    _assert_same_csr(pgp.laplacian(laplacian(gp)), moved)
+    rows_perm = full_perm[rows]
+    order = np.argsort(rows_perm)
+    for top in (1, 2, 3):
+        filters = FilterBank.full(top).filters
+        walk = pg.laplacian(laplacian(g), rows, top)
+        walk_perm = pgp.laplacian(laplacian(gp), rows_perm[order], top)
+        for a, b in zip(bank_filter_apply(walk, filters, x), bank_filter_apply(walk_perm, filters, x_perm)):
+            assert np.max(np.abs(a[order] - b)) <= 1e-14 * np.max(np.abs(a))
+    return pg
+
+
+def test_prompted_laplacian_is_node_permutation_equivariant():
+    rng = np.random.default_rng(13)
+    g, _ = tiny_setup(n=60, f=8, h=0.8, seed=4)
+    P = rng.standard_normal((4, g.feature_dim)) * 2.0
     for tau_cross in (0.3, 0.6):
-        pg = insert_prompt(g, P, 0.4, tau_cross)
-        pgp = insert_prompt(gp, P, 0.4, tau_cross)
+        pg = _assert_permutation_equivariant(g, P, 0.4, tau_cross, np.array([3, 17, 40, 61]), rng)
         assert pg.cross_edges.size > 0
-        want = pg.laplacian(laplacian(g)).toarray()
-        got = pgp.laplacian(laplacian(gp)).toarray()
-        assert np.array_equal(got[np.ix_(full_perm, full_perm)], want)
-        for top in (1, 2, 3):
-            filters = FilterBank.full(top).filters
-            walk = pg.laplacian(laplacian(g), rows, top)
-            walk_perm = pgp.laplacian(laplacian(gp), full_perm[rows], top)
-            for a, b in zip(bank_filter_apply(walk, filters, x), bank_filter_apply(walk_perm, filters, x_perm)):
-                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+
+def test_prompted_laplacian_is_node_permutation_equivariant_at_benchmark_scale(benchmark_graph):
+    # prompts drawn and normalized as tuning's are, wired by the default
+    # tau_cross: at h=0.2 every pair, at h=0.8 a few hundred
+    g = benchmark_graph
+    rng = np.random.default_rng(14)
+    mu_o, sigma_o = feature_stats(g.features)
+    P, _ = normalize_prompt(rng.standard_normal((10, g.feature_dim)) * sigma_o + mu_o, mu_o, sigma_o)
+    rows = np.union1d(rng.choice(g.n_nodes, 20, replace=False), [g.n_nodes + 3])
+    tau_cross = default_tau_cross(edge_homophily(g))
+    pg = _assert_permutation_equivariant(g, P, 0.2, tau_cross, rows, rng)
+    if tau_cross == TAU_CROSS_HETEROPHILIC:
+        assert pg.mask.all()
+    else:
+        assert 0 < pg.cross_edges.shape[0] < pg.mask.size
 
 
 @pytest.mark.parametrize("h", [0.2, 0.8])
@@ -401,16 +435,16 @@ def test_predict_follows_node_permutations_and_ignores_prompt_row_order(h):
     state = init_state(g, frozen, TuneConfig(seed=0), n_classes=2)
     rng = np.random.default_rng(1)
     for p in state.prompts:  # distinct rows per filter
-        p.features.value[...] += rng.standard_normal(p.features.value.shape)
-    P = state.prompts[0].features.value
+        p.value[...] += rng.standard_normal(p.value.shape)
+    P = state.prompts[0].value
     P_in, _ = normalize_prompt(P, *feature_stats(g.features))
-    assert insert_prompt(g, P_in, 0.2, state.prompts[0].tau_cross).cross_edges.size > 0
+    assert insert_prompt(g, P_in, state.tau_inner, state.tau_cross).cross_edges.size > 0
     want = predict(g, frozen, state)
     perm = rng.permutation(g.n_nodes)
     assert np.max(np.abs(predict(_permuted(g, perm), frozen, state)[perm] - want)) <= 1e-14
     order = rng.permutation(P.shape[0])
     for p in state.prompts:
-        p.features.value[...] = p.features.value[order]
+        p.value[...] = p.value[order]
     assert np.max(np.abs(predict(g, frozen, state) - want)) <= 1e-14
 
 
@@ -552,32 +586,32 @@ def test_init_state_deterministic_and_auto_tau():
     s1 = init_state(g, frozen, cfg, n_classes=2)
     s2 = init_state(g, frozen, cfg, n_classes=2)
     assert state_bytes(s1) == state_bytes(s2)
-    assert s1.prompts[0].tau_cross == TAU_CROSS_HETEROPHILIC
+    assert s1.tau_cross == TAU_CROSS_HETEROPHILIC and s1.tau_inner == cfg.tau_inner
     assert len(s1.prompts) == 3
-    assert [p.features.name for p in s1.prompts] == [
+    assert [p.name for p in s1.prompts] == [
         "prompt0.features", "prompt1.features", "prompt2.features",
     ]
     # prompt rows inherit the feature scale
     mu_o, sigma_o = feature_stats(g.features)
-    rows = s1.prompts[0].features.value
+    rows = s1.prompts[0].value
     assert rows.shape == (5, 6)
     assert np.all(np.abs(rows - mu_o) < 8 * sigma_o + 1e-9)
     # per-filter graphs share one warm-start draw (no aliasing), equal to the
     # shared variant's single graph, so the per-filter family nests it at init
-    assert np.array_equal(s1.prompts[0].features.value, s1.prompts[1].features.value)
-    assert s1.prompts[0].features.value is not s1.prompts[1].features.value
+    assert np.array_equal(s1.prompts[0].value, s1.prompts[1].value)
+    assert s1.prompts[0].value is not s1.prompts[1].value
     shared_cfg = TuneConfig(n_prompt=5, seed=7, shared_prompt=True)
-    shared_rows = init_state(g, frozen, shared_cfg, 2).prompts[0].features.value
-    assert np.array_equal(s1.prompts[0].features.value, shared_rows)
+    shared_rows = init_state(g, frozen, shared_cfg, 2).prompts[0].value
+    assert np.array_equal(s1.prompts[0].value, shared_rows)
 
 
 def test_variant_states_reduce_correctly():
     g, frozen = tiny_setup()
     shared = init_state(g, frozen, TuneConfig(n_prompt=4, shared_prompt=True, seed=0), 2)
     assert len(shared.prompts) == 1
-    assert shared.prompts[0].features.name == "prompt.features"
+    assert shared.prompts[0].name == "prompt.features"
     none = init_state(g, frozen, TuneConfig(n_prompt=0, seed=0), 2)
-    assert none.shared and none.prompts[0].features.value.shape == (0, 6)
+    assert none.shared and none.prompts[0].value.shape == (0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +710,7 @@ for n_prompt in (1, 2, 10):
         cfg = TuneConfig(n_prompt=n_prompt, shared_prompt=shared, seed=0)
         state = init_state(g, frozen, cfg, 2)
         for p in state.prompts:  # the per-filter graphs start equal; part them
-            p.features.value += rng.standard_normal(p.features.value.shape)
+            p.value += rng.standard_normal(p.value.shape)
         seen.clear()
         prompted_encode(g, frozen, state)
         out[f"{n_prompt} {'shared' if shared else 'per-filter'}"] = seen[:]
@@ -730,6 +764,66 @@ def test_tune_bits_do_not_depend_on_blas_threads(run_at_blas_threads):
     assert runs[0] == runs[1]
 
 
+# sha256 of state_bytes and of predict's probabilities after tune(20 epochs,
+# validation every 5) on an n=1000, f=32 CSBM graph at h, from a randomly
+# initialized order-2 backbone of 16 hidden units, or a one-filter low-pass
+# one (g_{0,2}), whose per-filter family is a single graph that is not
+# shared. Per-filter and shared prompts and the no_prompt variant at both h.
+PINNED_TUNE = {
+    "h0.2 per-filter": (
+        "e3fe0f3861cdb268fdda94491bd745f61f9bdc749194bfd11296e2f0118ef60f",
+        "e26437a4eec6deb7bb98e6d33f92d54aa482586806569f0304e29fe11a01c43d",
+    ),
+    "h0.2 shared": (
+        "5e30244ec690faf41760fc0e0ece060ef4058710b95e9a3955af373535596d64",
+        "a98845e5bc4d53b93fa1f42096f7889adecaf4e528d7493b1ce4593ac263d785",
+    ),
+    "h0.2 no_prompt": (
+        "edece977fa8b2c4f592809e204219b4193275e213c20bbf74ad34aab5499c513",
+        "4022ccc6d78823061056bf0d94eaaf8feaca629e894f44a5bca8e141c84f910f",
+    ),
+    "h0.2 low_pass": (
+        "524fc76c71f1d1776360a1c87390611e751ba379dfb5cb2ec9f199abe0c82c97",
+        "f6e274bb0f9838f6f257692a8cb8caea051c774a06279a2df235d62623e3e150",
+    ),
+    "h0.8 per-filter": (
+        "e70811f5bbee1f027677aa46b9abcf061738f908214ec2b8310a077f2a34eb35",
+        "84d7d22092708a97fedeb42a540f61638dcf8b59fe494986b1c13e615d5576fd",
+    ),
+    "h0.8 shared": (
+        "69134859154dff5dfb8ac168ed14723729d3ada61d1ec7b3c4612d8c95f70510",
+        "43fb5fae93aeefa45616c1f5a7115d62803d8a1a17ad570c65f16be5ac015f06",
+    ),
+    "h0.8 no_prompt": (
+        "b26495fbaea80bc0f4be6c3b05ea767671c2231b24a1c382e478c14cda555447",
+        "2f97d9a9d3e4b262a3246da53ab3260f295b1ed70c5f2d4b50cc9d8e2ed9fa4d",
+    ),
+    "h0.8 low_pass": (
+        "aa861f9234024297b2b9d7413c65e7745877c10795866fba1e5068265e7127e2",
+        "65077ea78e3c8c25bc3c77b890ab76c7a98841ab8c4179b02912b420c62b1a58",
+    ),
+}
+
+
+def _pinned_tune_run(key):
+    """(state hash, probabilities hash) of the PINNED_TUNE run named key."""
+    h, variant = key.split()
+    g = generate(CsbmParams(n=1000, f=32, d_avg=20.0, h=float(h[1:]), mu=10.0, seed=0))
+    bank = FilterBank(((0, 2),)) if variant == "low_pass" else FilterBank.full(2)
+    frozen = freeze(PretrainedModel(bank, g.feature_dim, 16, seed=0))
+    overrides = {"shared": {"shared_prompt": True}, "no_prompt": {"n_prompt": 0}}.get(variant, {})
+    cfg = TuneConfig(epochs=20, eval_every=5, seed=0, **overrides)
+    state, _ = tune(g, frozen, kshot_split(g, 5, seed=0), cfg)
+    probs = predict(g, frozen, state)
+    assert state_bytes(state_from_bytes(state_bytes(state))) == state_bytes(state)
+    return state_hash(state), hashlib.sha256(probs.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TUNE))
+def test_tune_on_a_csbm_graph_matches_pinned_bits(key):
+    assert _pinned_tune_run(key) == PINNED_TUNE[key]
+
+
 def _bench_setup(g):
     frozen = freeze(PretrainedModel(FilterBank.full(2), g.feature_dim, 64, seed=0))
     return frozen, kshot_split(g, 5, seed=0)
@@ -760,7 +854,7 @@ def test_tune_and_predict_match_the_reference_on_benchmark_graphs(benchmark_grap
     epochs = _record_training_branches(monkeypatch)
     state, hist = tune(g, frozen, split, cfg)
     probs = predict(g, frozen, state)
-    tau = state.prompts[0].tau_cross
+    tau = state.tau_cross
     for branches in epochs:
         for br in branches:
             want = reference_cross_edges(br.prompted.prompt_features, g.features, tau)
@@ -946,7 +1040,7 @@ def test_an_operator_read_by_one_filter_keeps_its_projected_pass():
     state = init_state(g, frozen, TuneConfig(n_prompt=4, seed=0), 2)
     rng = np.random.default_rng(3)
     for p in state.prompts:  # distinct rows per filter, so every branch differs
-        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+        p.value[...] += rng.standard_normal(p.value.shape)
     for rows in (None, np.unique(np.concatenate(split.shot_indices))):
         ops = prompt_mod._EdgeSetOperators(g, frozen.model)
         branches = prompt_mod._build_branches(g, state, ops, rows=rows)
@@ -999,9 +1093,9 @@ def test_an_operators_blocks_do_not_depend_on_earlier_builds(monkeypatch):
     apart = init_state(g, frozen, cfg, 2)
     rng = np.random.default_rng(3)
     for p in apart.prompts[1:]:
-        p.features.value[...] += rng.standard_normal(p.features.value.shape)
+        p.value[...] += rng.standard_normal(p.value.shape)
     pair = init_state(g, frozen, cfg, 2)
-    pair.prompts[0].features.value[...] = apart.prompts[1].features.value
+    pair.prompts[0].value[...] = apart.prompts[1].value
     passes = []
     one, bank = prompt_mod.beta_filter_apply, prompt_mod.bank_filter_apply
 

@@ -187,9 +187,9 @@ def test_bank_engine_single_kernels_and_guards(monkeypatch):
         (y,), matmuls = products.run(L, ((k, r),), x)
         assert matmuls == k + r
         assert_near_ladder(L, k, r, x, y)
-        (y_rows,), matmuls = products.run(walk(L, np.array([3, 0]), ((k, r),)), ((k, r),), x)
+        (y_rows,), matmuls = products.run(walk(L, np.array([0, 3]), ((k, r),)), ((k, r),), x)
         assert matmuls == k + r
-        assert np.array_equal(y_rows, y[[3, 0]])
+        assert np.array_equal(y_rows, y[[0, 3]])
     assert bank_filter_apply(L, (), x) == []
     with pytest.raises(ValueError, match="non-negative"):
         bank_filter_apply(L, ((1, -1),), x)
@@ -238,9 +238,8 @@ def test_bank_engine_rows_equal_full_rows_bit_for_bit(monkeypatch):
     row_sets = [
         np.array([3]),
         np.array([7]),  # isolated: its ball is itself
-        np.array([n, n + 3, 2]),  # prompt rows, unsorted
-        np.array([5, 5, 1]),  # repeats keep their places
-        rng.choice(n_total, 12, replace=False),
+        np.array([2, n, n + 3]),  # prompt rows
+        np.sort(rng.choice(n_total, 12, replace=False)),
         np.arange(n_total),
         np.array([], dtype=np.int64),
     ]
@@ -284,8 +283,13 @@ def test_bank_engine_rows_guards():
     for bad in (np.array([20]), np.array([-1])):
         with pytest.raises(ValueError, match="rows must lie"):
             walk(L, bad, ((1, 1),))
+    # rows come in ascending order, each once: unsorted or repeated rows are refused
+    for bad in (np.array([4, 1]), np.array([1, 4, 4]), np.array([4, 1, 4]), np.array([5, 5, 1])):
+        for filters in (((0, 0),), ((1, 1),)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                walk(L, bad, filters)
     # a RowWalk fixes its rows and its degree
-    rows = np.array([4, 1, 4])
+    rows = np.array([1, 4])
     bank = FilterBank.full(2).filters
     two = walk(L, rows, bank)
     for a, b in zip(bank_filter_apply(two, bank, x), bank_filter_apply(L, bank, x)):
@@ -308,7 +312,7 @@ def test_bank_engine_meets_the_bipartite_mirror_at_benchmark_scale():
     S = np.where(g.labels == 0, 1.0, -1.0)[:, None]
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5000, 8))
-    rows = rng.choice(5000, 40, replace=False)
+    rows = np.sort(rng.choice(5000, 40, replace=False))
     for order, tol in ((2, 1e-14), (3, 1e-14), (6, 1e-13)):
         bank = FilterBank.full(order).filters
         mirror = [(r, k) for k, r in bank]
