@@ -338,6 +338,7 @@ def _cmd_gen_csbm(cfg) -> int:
 def _cmd_analyze(cfg) -> int:
     _require(cfg, "data", "out")
     g = _load_data(cfg)
+    bank = spectral.FilterBank.full(cfg["order"])  # a bad order is a usage error before any write
     out = _out_dir(cfg)
     files = []
 
@@ -393,7 +394,6 @@ def _cmd_analyze(cfg) -> int:
     else:
         report["spectral_energy"] = "skipped: graph exceeds dense eigensolver limit"
 
-    bank = spectral.FilterBank.full(cfg["order"])
     lam, curves = spectral.response_grid(list(bank.filters) + list(spectral.REFERENCE_FILTERS))
     header = ["lambda"] + list(curves)
     rows = [[lam[i]] + [curves[name][i] for name in curves] for i in range(lam.size)]

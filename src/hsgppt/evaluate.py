@@ -13,7 +13,7 @@ from .csbm import CsbmParams, generate
 from .graph import Graph, class_count, kshot_split, laplacian, svd_reduce, with_features
 from .nn import Adam, LinearLayer, softmax_cross_entropy
 from .pretrain import PretrainConfig, derive_seed, freeze, pretrain
-from .prompt import TuneConfig, predict, tune, variant_configs
+from .prompt import ABLATION_VARIANTS, TuneConfig, predict, tune, variant_configs
 from .spectral import REFERENCE_FILTERS, bank_filter_apply
 
 
@@ -78,6 +78,10 @@ class PipelineConfig:
     k_shots: int = 5
     f1_average: str = "macro"
     svd_dim: int = 128  # inductive mode only
+
+    def __post_init__(self):
+        if self.k_shots < 1:
+            raise ValueError(f"k must be >= 1, not {self.k_shots}")
 
     def fingerprint(self, extra=()) -> str:
         blob = json.dumps([asdict(self), list(extra)], sort_keys=True)
@@ -170,6 +174,10 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
     per-seed results are identical to a serial run, and the sums then add
     seconds spent in parallel, so they can exceed the run's wall clock.
     """
+    # a shot count the classes cannot give fails here, before any
+    # pre-training: class sizes do not depend on the seed, and a split draws
+    # from its own seed, so this one changes no result
+    kshot_split(g, cfg.k_shots, seed=0)
     if workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -237,8 +245,7 @@ class AblationRow:
 
 def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> list:
     """Tune every ablation variant; backbones are shared where configs agree."""
-    from .prompt import ABLATION_VARIANTS
-
+    kshot_split(g, cfg.k_shots, seed=0)  # fails before any pre-training, as in _report
     variants = list(variants) if variants is not None else list(ABLATION_VARIANTS)
     backbones = {}
     rows = []

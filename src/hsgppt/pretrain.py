@@ -64,10 +64,11 @@ class PretrainConfig:
     filters: tuple | None = None  # bank override; None = all order+1 kernels
 
     def __post_init__(self):
-        if self.epochs < 1 or self.hidden_dim < 1:
-            raise ValueError(
-                f"pre-training takes epochs >= 1 and hidden_dim >= 1, not {self.epochs} and {self.hidden_dim}"
-            )
+        # the bank itself is checked when built: --low-pass-only takes orders
+        # whose full bank overflows
+        for name, least in (("order", 0), ("epochs", 1), ("hidden_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"pre-training takes {name} >= {least}, not {getattr(self, name)}")
 
     def bank(self) -> FilterBank:
         if self.filters is not None:
@@ -115,10 +116,9 @@ def filtered_views(L, bank: FilterBank, features: np.ndarray, overwrite_x=False)
     return bank_filter_apply(L, bank.filters, features, overwrite_x=overwrite_x)
 
 
-def encode(g: Graph, model: PretrainedModel, filtered=None) -> Encoded:
-    """Forward pass on a graph (or on precomputed filtered views)."""
-    if filtered is None:
-        filtered = filtered_views(laplacian(g, "normalized"), model.bank, g.features)
+def encode(g: Graph, model: PretrainedModel) -> Encoded:
+    """Forward pass on a graph."""
+    filtered = filtered_views(laplacian(g, "normalized"), model.bank, g.features)
     per_filter = [enc.apply(h)[0] for enc, h in zip(model.encoders, filtered)]
     weights = softmax_over_filters(model.mix.value)
     integrated = np.zeros_like(per_filter[0])
@@ -280,7 +280,7 @@ def pretrain(g: Graph, cfg: PretrainConfig):
             if epoch + 1 < cfg.epochs:
                 pending = worker.submit(negative_views, epoch + 1)
 
-        pending = worker.submit(negative_views, 0) if cfg.epochs > 0 else None
+        pending = worker.submit(negative_views, 0)
         pos = filtered_views(L, bank, g.features)  # constant across epochs
         for epoch in range(cfg.epochs):
             neg, pending = pending.result(), None

@@ -37,18 +37,20 @@ of every RowWalk, from PromptedGraph._rows: each row a filter reads is its
 base Laplacian row followed by its wiring row, read off the mask and the
 prompt block, and valued by the normalization rule that
 laplacian_from_edges also uses, so training never forms a structure with a
-row per node. The base rows of a row set are gathered once per call
-and shared by every prompt graph and build (spectral.CsrRows). The tests
-keep L' built from the combined edge list as the oracle, and walk it with
-the same row_walk over its CsrRows.
+row per node. The base rows of a row set are gathered once per build and
+shared by its prompt graphs (spectral.CsrRows). The tests keep L' built
+from the combined edge list as the oracle, and walk it with the same
+row_walk over its CsrRows.
 
-Within one tune(), predict() or gradient check closure, operators are cached
-by wiring and row set: the wiring is the boolean mask of wired cross pairs
-plus the inner edges, and a branch whose wiring equals that of a branch
-already built on the same rows reuses its Laplacian (rows) and, once its
-filter has run on it in the same kind of pass (lone or shared), its G_p and
-base term, so a training epoch whose wiring is unchanged builds no
-Laplacian and runs no sparse product at all.
+One _EdgeSetOperators owns every build of a tune(), predict() or gradient
+check closure, and its caches end with the call. Its build() wires the
+prompt graphs and groups the filters by wiring, the boolean mask of wired
+cross pairs plus the inner edges. Per row set it keeps what the last build
+on those rows used: each wiring's Laplacian (rows) and, once a filter has
+run on it in a kind of pass (lone or shared), that filter's G_p and base
+term. So a training epoch whose wiring is unchanged builds no Laplacian and
+runs no sparse product at all, and a validation build leaves the training
+operators in place.
 """
 
 from __future__ import annotations
@@ -385,25 +387,30 @@ def _with_identity(x: np.ndarray, n_p: int) -> np.ndarray:
 
 
 class _EdgeSetOperators:
-    """Prompted operators keyed by wiring and row set, for one call.
+    """The owner of every prompt build of one call (a tune(), predict() or
+    gradient check closure), and of the operators its builds make.
 
-    An entry holds the prompted Laplacian (or, for a row set, its RowWalk)
-    and, per filter and kind of pass, the base term and G_p of _Branch on
-    those rows; none depends on the prompt values. The filters a build reads
-    off one entry and has no blocks of that kind for yet get them from one
-    filter pass (_filter_blocks): a lone pass when one filter reads the
-    entry, a shared pass when more do. A filter's output of a shared pass
-    does not depend on which other filters join it (bank_filter_apply), so
-    the blocks are a function of the build alone: a build gets the bits a
-    fresh cache would give it, and predict() agrees with tune's validation
-    on one state. Both paths build the Laplacian by
-    PromptedGraph.laplacian from the graph's cached Laplacian, whose rows
-    one CsrRows gathers for the whole call. X and the frozen W_k never
-    change within a call, so each input [X W_k, 0; 0, I] is formed once per
-    call. Per row set, entries used by the previous or the current build
-    survive and older ones are dropped, so a wiring that changes every
-    epoch holds two builds' worth and a validation build never evicts the
-    training entries.
+    build() wires the prompt graphs, groups the filters by wiring and gives
+    each wiring an entry: the prompted Laplacian (or, for a row set, its
+    RowWalk) and, per filter and kind of pass, the base term and G_p of
+    _Branch on those rows; none depends on the prompt values. Per row set it
+    keeps one dict, the entries the last build on those rows used, so a
+    training build whose wiring is unchanged builds no Laplacian and runs no
+    filter pass, a validation build never drops the training entries, and a
+    wiring the last build on its rows did not use is built anew. The filters
+    a build reads off one entry and has no blocks of that kind for yet get
+    them from one filter pass (_filter_blocks): a lone pass when one filter
+    reads the entry, a shared pass when more do. A filter's output of a
+    shared pass does not depend on which other filters join it
+    (bank_filter_apply), so the blocks are a function of the build alone: a
+    build gets the bits a fresh cache would give it, and predict() agrees
+    with tune's validation on one state. Every Laplacian is built by
+    PromptedGraph.laplacian from the graph's cached Laplacian, whose rows one
+    CsrRows per build gathers: at order 3 and above a walk reaches rows
+    through the prompts, so its row sets change with the wiring, and a
+    cache kept for the call would keep one more for every new wiring. X and
+    the frozen W_k never change within a call, so each input
+    [X W_k, 0; 0, I] is formed once per call.
     """
 
     def __init__(self, g: Graph, model):
@@ -411,35 +418,53 @@ class _EdgeSetOperators:
         self.model = model
         self.stats = feature_stats(g.features)
         self._signals = {}
-        self._base = None
-        self._gens = {}  # row set -> (previous build's entries, current build's)
+        self._last = {}  # row set -> {wiring key: entry} of the last build on it
 
-    def next_build(self, rows):
-        key = None if rows is None else rows.tobytes()
-        self._gens[key] = (self._gens.get(key, (None, {}))[1], {})
-
-    def get(self, pg: PromptedGraph, ks, rows):
-        """(Laplacian, {k: (base, gp)}) of the filters ks, the build's
-        readers of pg's edge set, on rows (None: all)."""
-        prev, cur = self._gens[None if rows is None else rows.tobytes()]
-        entry = cur.get(pg.key)
-        if entry is None:
-            entry = prev.get(pg.key)
-            if entry is None:
-                entry = (self._laplacian(pg, rows), {})
-            cur[pg.key] = entry
-        lap, blocks = entry
-        shared = len(ks) > 1
-        missing = [k for k in ks if (k, shared) not in blocks]
-        if missing:
-            made = self._filter_blocks(lap, missing, shared, pg.n_total - self.g.n_nodes)
-            blocks.update(((k, shared), block) for k, block in zip(missing, made))
-        return lap, {k: blocks[k, shared] for k in ks}
-
-    def _laplacian(self, pg: PromptedGraph, rows):
-        if self._base is None:
-            self._base = CsrRows(laplacian(self.g))
-        return pg.laplacian(self._base, rows, self.model.bank.order)
+    def build(self, state: PromptState, held=None, rows=None) -> list:
+        """One _Branch per filter on rows (None: every original node), wired
+        from the current prompts by the state's thresholds or, given the
+        branches of an earlier build as held, on their edge sets."""
+        g, size = self.g, self.model.bank.size
+        prompts = state.prompts[: 1 if state.shared else size]
+        inserted = [
+            normalize_prompt(p.value, *self.stats) if p.value.shape[0] and state.normalize else (p.value, None)
+            for p in prompts
+        ]
+        if held is None:
+            # the stacked scores die with the comprehension, before any
+            # operator is built
+            wired = [
+                insert_prompt(g, P_in, state.tau_inner, state.tau_cross, scores=s)
+                for (P_in, _), s in zip(inserted, _cross_scores([P for P, _ in inserted], g.features))
+            ]
+        else:
+            # edge structure held constant (gradient checking): only features
+            # move; prompt graph i first serves branch i, so held[i] carries
+            # its edge sets
+            wired = [replace(held[i].prompted, prompt_features=P_in) for i, (P_in, _) in enumerate(inserted)]
+        pick = [0 if state.shared else k for k in range(size)]  # filter k reads graph pick[k]
+        # the filters that read one wiring share its operator and its filter pass
+        readers = {}
+        for k, i in enumerate(pick):
+            readers.setdefault(wired[i].key, []).append(k)
+        rows_key = None if rows is None else rows.tobytes()
+        last, used = self._last.get(rows_key, {}), {}
+        base = CsrRows(laplacian(g))  # gathers each base row set once per build
+        branches = [None] * size
+        for key, ks in readers.items():
+            pg = wired[pick[ks[0]]]
+            entry = last.get(key) or (pg.laplacian(base, rows, self.model.bank.order), {})
+            lap, blocks = used[key] = entry
+            shared = len(ks) > 1
+            missing = [k for k in ks if (k, shared) not in blocks]
+            if missing:
+                outs = self._filter_blocks(lap, missing, shared, pg.n_total - g.n_nodes)
+                blocks.update(((k, shared), out) for k, out in zip(missing, outs))
+            for k in ks:
+                i = pick[k]
+                branches[k] = _Branch(wired[i], lap, *blocks[k, shared], inserted[i][1], prompts[i])
+        self._last[rows_key] = used
+        return branches
 
     def _signal(self, k, n_p: int):
         """[X W_k, 0; 0, I], formed once per call."""
@@ -495,50 +520,6 @@ def _cross_scores(blocks, X):
     return out
 
 
-def _wire(g: Graph, state: PromptState, prompts, stats, held=None):
-    """(PromptedGraph, normalization vjp or None) per prompt graph, wired
-    from its current rows by the state's thresholds or, given one held
-    PromptedGraph per prompt graph, on their edge sets."""
-    inserted = [
-        normalize_prompt(p.value, *stats) if p.value.shape[0] and state.normalize else (p.value, None)
-        for p in prompts
-    ]
-    if held is not None:
-        # edge structure held constant (gradient checking): only features move
-        return [(replace(pg, prompt_features=P_in), vjp) for pg, (P_in, vjp) in zip(held, inserted)]
-    # the stacked scores die on return, before any operator is built
-    scores = _cross_scores([P_in for P_in, _ in inserted], g.features)
-    return [
-        (insert_prompt(g, P_in, state.tau_inner, state.tau_cross, scores=s), vjp)
-        for (P_in, vjp), s in zip(inserted, scores)
-    ]
-
-
-def _build_branches(g: Graph, state: PromptState, ops: _EdgeSetOperators, held=None, rows=None):
-    """One branch per filter on rows (None: every original node), wired from
-    the current prompts or, given the branches of an earlier build as `held`,
-    on their edge sets."""
-    ops.next_build(rows)
-    size = ops.model.bank.size
-    prompts = state.prompts[: 1 if state.shared else size]
-    # prompt graph i first serves branch i, so held[i] carries its edge sets
-    held_pgs = None if held is None else [held[i].prompted for i in range(len(prompts))]
-    wired = _wire(g, state, prompts, ops.stats, held_pgs)
-    pick = [0 if state.shared else k for k in range(size)]  # filter k reads graph pick[k]
-    # the filters that read one wiring share its operator and its filter pass
-    readers = {}
-    for k, i in enumerate(pick):
-        pg = wired[i][0]
-        readers.setdefault(pg.key, (pg, []))[1].append(k)
-    built = {key: ops.get(pg, ks, rows) for key, (pg, ks) in readers.items()}
-    branches = []
-    for k, i in enumerate(pick):
-        pg, norm_vjp = wired[i]
-        lap, blocks = built[pg.key]
-        branches.append(_Branch(pg, lap, *blocks[k], norm_vjp, prompts[i]))
-    return branches
-
-
 def _loss_rows(shots):
     """(ascending distinct shot rows, each shot's position among them).
 
@@ -558,7 +539,7 @@ def _step(g: Graph, frozen: FrozenModel, state: PromptState, ops, rows, at, held
     """
     for p in state.tunable_params():
         p.zero_grad()
-    branches = _build_branches(g, state, ops, held=held, rows=rows)
+    branches = ops.build(state, held=held, rows=rows)
     _, logits, backward = _forward(g, frozen, state, branches, True)
     loss, dlogits = softmax_cross_entropy(logits, g.labels[rows], at)
     backward(dlogits)
@@ -570,7 +551,7 @@ def tuning_loss_fn(g: Graph, frozen: FrozenModel, state: PromptState, shots):
     sets (and their filtered blocks) wired from the current prompts."""
     ops = _EdgeSetOperators(g, frozen.model)
     rows, at = _loss_rows(shots)
-    held = _build_branches(g, state, ops, rows=rows)
+    held = ops.build(state, rows=rows)
     return lambda: _step(g, frozen, state, ops, rows, at, held)
 
 
@@ -622,7 +603,7 @@ def _full_forward(g: Graph, frozen: FrozenModel, state: PromptState, ops=None):
     prompts; ops defaults to a fresh operator cache."""
     if ops is None:
         ops = _EdgeSetOperators(g, frozen.model)
-    integrated, logits, _ = _forward(g, frozen, state, _build_branches(g, state, ops), False)
+    integrated, logits, _ = _forward(g, frozen, state, ops.build(state), False)
     return integrated, logits
 
 

@@ -40,19 +40,18 @@ REFERENCE_FILTERS = {"low": ((0, 1), 1.0), "mid": ((1, 1), 4 / 3), "high": ((1, 
 
 
 def beta_constant(k: int, r: int) -> float:
-    """1 / (2 B(k+1, r+1)) = (k+r+1) C(k+r, k) / 2.
+    """1 / (2 B(k+1, r+1)) = (k+r+1) C(k+r, k) / 2, correctly rounded.
 
-    Integer arithmetic keeps small orders exact; the log-space form is the
-    fallback once the value leaves float range, so large k+r cannot overflow
-    intermediate factorials.
+    Integer arithmetic keeps it exact until the one rounding; a constant
+    beyond float64's range is a ValueError. 1021 is the lowest order whose
+    full bank holds such kernels, those with 496 <= k <= 525.
     """
     if k < 0 or r < 0:
         raise ValueError("filter indices must be non-negative")
     try:
         return (k + r + 1) * math.comb(k + r, k) / 2
     except OverflowError:
-        log_beta = math.lgamma(k + 1) + math.lgamma(r + 1) - math.lgamma(k + r + 2)
-        return math.exp(-math.log(2.0) - log_beta)
+        raise ValueError(f"the constant of kernel (k={k}, r={r}) exceeds float64 range") from None
 
 
 def filter_response(filt, lam):
@@ -87,6 +86,7 @@ class FilterBank:
         for k, r in self.filters:
             if k < 0 or r < 0 or k + r != order:
                 raise ValueError("all filters must satisfy k + r = order, k, r >= 0")
+            beta_constant(k, r)  # a kernel whose constant overflows cannot be applied
 
     @classmethod
     def full(cls, order: int) -> "FilterBank":
@@ -161,11 +161,10 @@ def row_walk(rows_of, rows, top: int, n: int) -> RowWalk:
 
 
 class CsrRows:
-    """A CSR's rows as row_walk reads them (rows_of). The columns of the
-    last few row sets are kept, so every walk on the same rows gathers them
-    once; values are gathered when asked for, and not kept."""
-
-    KEEP = 8
+    """A CSR's rows as row_walk reads them (rows_of). It keeps the columns
+    of every row set it is asked for, so the walks of its one short life (a
+    prompt build, a test's walk) gather each row set once; values are
+    gathered when asked for, and not kept."""
 
     def __init__(self, csr):
         self.csr = csr
@@ -183,10 +182,7 @@ class CsrRows:
             got = self._kept.get(key)
             if got is None:
                 lens = ptr[q + 1] - ptr[q]
-                got = lens, self.csr.indices[_ranges(ptr[q], lens)]
-                if len(self._kept) == self.KEEP:
-                    self._kept.pop(next(iter(self._kept)))
-                self._kept[key] = got
+                got = self._kept[key] = lens, self.csr.indices[_ranges(ptr[q], lens)]
         if values:
             got += (self.csr.data if whole else self.csr.data[_ranges(ptr[q], got[0])],)
         return got

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+import hsgppt.evaluate as evaluate
 from hsgppt.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -292,6 +293,36 @@ def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, fi
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and field in err and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("order", [-1, 1021])
+@pytest.mark.parametrize("command", ["pretrain", "analyze", "eval"])
+def test_filter_order_without_a_bank_is_usage_error(tmp_path, capsys, command, order):
+    # order 1021's full bank holds kernels whose constants exceed float64
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    args = ["--data", data, "--out", out, "--order", order]
+    if command == "eval":
+        args += ["--seeds", "0", "--k", 2, "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1]
+    capsys.readouterr()
+    assert run(command, *args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, k", [("eval", 0), ("eval", 100), ("ablate", 0), ("ablate", 100)])
+def test_impossible_shot_count_is_usage_error_before_pretraining(tmp_path, monkeypatch, capsys, command, k):
+    # the generated classes hold ~20 nodes each, too few for 100 shots
+    data = gen(tmp_path)
+    monkeypatch.delenv("HSGPPT_THREADS", raising=False)
+    monkeypatch.setattr(evaluate, "pretrain", lambda *a, **kw: pytest.fail("pre-trained before the split check"))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(command, "--data", data, "--out", out, "--seeds", "0,1", "--k", k) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_missing_data_is_data_error(tmp_path):

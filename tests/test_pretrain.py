@@ -303,6 +303,11 @@ def test_derive_seed_deterministic_and_distinct():
 def test_config_bank_default_and_override():
     assert PretrainConfig(order=2).bank().filters == ((0, 2), (1, 1), (2, 0))
     assert PretrainConfig(filters=((0, 2),)).bank().filters == ((0, 2),)
+    with pytest.raises(ValueError, match="order >= 0"):
+        PretrainConfig(order=-1)
+    # the bank, not the config, checks the kernels: the low-pass end alone of
+    # an order whose full bank overflows (FilterBank.full(1021)) is a bank
+    assert PretrainConfig(order=1021, filters=((0, 1021),)).bank().size == 1
 
 
 def test_parameter_count():
@@ -390,10 +395,14 @@ def test_model_from_bytes_rejects_corruption():
 
 
 def test_load_model_damaged_checkpoint_is_data_error(tmp_path):
-    blob = model_bytes(PretrainedModel(FilterBank.full(1), 3, 4, seed=0))
+    model = PretrainedModel(FilterBank.full(1), 3, 4, seed=0)
+    blob = model_bytes(model)
     path = tmp_path / "model.ckpt"
     short_header = pack_arrays(CHECKPOINT_MAGIC, [3, 4], [])
-    for damaged in (blob[:20], blob[:-1], blob + b"\0", b"X" * len(blob), short_header):
+    # kernels (510, 511) and (511, 510), whose constants exceed float64
+    unusable_bank = pack_arrays(CHECKPOINT_MAGIC, [3, 4, 2, 510, 511, 511, 510],
+                                [(p.name, p.value) for p in model.params()])
+    for damaged in (blob[:20], blob[:-1], blob + b"\0", b"X" * len(blob), short_header, unusable_bank):
         path.write_bytes(damaged)
         with pytest.raises(DatasetError, match="unreadable checkpoint") as info:
             load_model(path)

@@ -457,7 +457,7 @@ def _full_row_reference(g, frozen, split, cfg):
     ops = prompt_mod._EdgeSetOperators(g, frozen.model)
     losses, wiring = [], []
     for _ in range(cfg.epochs):
-        branches = prompt_mod._build_branches(g, state, ops)
+        branches = ops.build(state)
         wiring.append([_edge_key(b) for b in branches])
         for p in params:
             p.zero_grad()
@@ -832,18 +832,18 @@ def _bench_setup(g):
 def _reference_operators(monkeypatch):
     """Wire by the oracle and build the full-row L' from the combined edges;
     returns the number of prompt rows of each graph the oracle wired."""
-    assemble = prompt_mod._EdgeSetOperators._laplacian
+    assemble = prompt_mod.PromptedGraph.laplacian
     wired = []
 
     def mask_by_oracle(P, X, tau, scores=None):
         wired.append(P.shape[0])
         return reference_cross_mask(P, X, tau, scores)
 
-    def full_rows_by_oracle(self, pg, rows):
-        return reference_laplacian(pg) if rows is None else assemble(self, pg, rows)
+    def full_rows_by_oracle(self, base, rows=None, top=1):
+        return reference_laplacian(self) if rows is None else assemble(self, base, rows, top)
 
     monkeypatch.setattr(prompt_mod, "cross_mask", mask_by_oracle)
-    monkeypatch.setattr(prompt_mod._EdgeSetOperators, "_laplacian", full_rows_by_oracle)
+    monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", full_rows_by_oracle)
     return wired
 
 
@@ -1013,7 +1013,7 @@ def test_filters_of_one_operator_share_a_pass_that_matches_each_filter_alone(h, 
     errors = []
     for rows in (None, shots):
         ops = prompt_mod._EdgeSetOperators(g, frozen.model)
-        branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+        branches = ops.build(state, rows=rows)
         assert len({id(br.lap) for br in branches}) == 1
         if not shared:
             assert branches[0].prompted.mask.all()
@@ -1043,7 +1043,7 @@ def test_an_operator_read_by_one_filter_keeps_its_projected_pass():
         p.value[...] += rng.standard_normal(p.value.shape)
     for rows in (None, np.unique(np.concatenate(split.shot_indices))):
         ops = prompt_mod._EdgeSetOperators(g, frozen.model)
-        branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+        branches = ops.build(state, rows=rows)
         assert len({id(br.lap) for br in branches}) == len(branches)
         for k, (br, enc) in enumerate(zip(branches, frozen.model.encoders)):
             filt = frozen.model.bank.filters[k]
@@ -1075,7 +1075,7 @@ def test_a_fully_wired_build_filters_once_per_operator(monkeypatch):
         for rows in (None, np.unique(np.concatenate(split.shot_indices))):
             calls.clear()
             ops = prompt_mod._EdgeSetOperators(g, frozen.model)
-            branches = prompt_mod._build_branches(g, state, ops, rows=rows)
+            branches = ops.build(state, rows=rows)
             assert all(br.prompted.mask.all() for br in branches)
             assert calls == [bank_size]
 
@@ -1111,15 +1111,78 @@ def test_an_operators_blocks_do_not_depend_on_earlier_builds(monkeypatch):
     monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
     for rows in (None, np.unique(np.concatenate(split.shot_indices))):
         ops = prompt_mod._EdgeSetOperators(g, frozen.model)
-        first = prompt_mod._build_branches(g, apart, ops, rows=rows)
+        first = ops.build(apart, rows=rows)
         assert len({br.prompted.key for br in first}) == len(first)
         # build 2 also gives filter 0 a lone pass on filter 1's wiring of build 1
         for state, readers, want_passes in ((pair, 2, [1, 2]), (alike, 3, [1])):
             passes.clear()
-            later = prompt_mod._build_branches(g, state, ops, rows=rows)
+            later = ops.build(state, rows=rows)
             assert sorted(passes) == want_passes
             on_a = [br for br in later if br.prompted.key == first[0].prompted.key]
             assert len(on_a) == readers and all(br.lap is first[0].lap for br in on_a)
-            fresh = prompt_mod._build_branches(g, state, prompt_mod._EdgeSetOperators(g, frozen.model), rows=rows)
+            fresh = prompt_mod._EdgeSetOperators(g, frozen.model).build(state, rows=rows)
             for got, want in zip(later, fresh):
                 assert np.array_equal(got.base, want.base) and np.array_equal(got.gp, want.gp)
+
+
+def test_an_operator_lives_while_the_builds_on_its_rows_read_it(monkeypatch):
+    # training and validation builds of one call, with one shared prompt
+    # wired as A or as B; counts the Laplacians and filter passes of each
+    g, frozen = tiny_setup(h=0.8)
+    split = kshot_split(g, 3, seed=0)
+    rows, at = prompt_mod._loss_rows(np.concatenate(split.shot_indices))
+    cfg = TuneConfig(n_prompt=4, shared_prompt=True, seed=0)
+    a, b = init_state(g, frozen, cfg, 2), init_state(g, frozen, cfg, 2)
+    b.prompts[0].value[...] += np.random.default_rng(3).standard_normal(b.prompts[0].value.shape)
+    counts, seen = {"laplacians": 0, "passes": 0}, []
+    assemble, one, bank, forward = (
+        prompt_mod.PromptedGraph.laplacian, prompt_mod.beta_filter_apply,
+        prompt_mod.bank_filter_apply, prompt_mod._forward,
+    )
+
+    def counting_laplacian(self, base, rows=None, top=1):
+        counts["laplacians"] += 1
+        return assemble(self, base, rows, top)
+
+    def counting_one(L, k, r, x):
+        counts["passes"] += 1
+        return one(L, k, r, x)
+
+    def counting_bank(L, filters, x, **kwargs):
+        counts["passes"] += 1
+        return bank(L, filters, x, **kwargs)
+
+    def spy(g, frozen, state, branches, train):
+        seen.append(branches)
+        return forward(g, frozen, state, branches, train)
+
+    monkeypatch.setattr(prompt_mod.PromptedGraph, "laplacian", counting_laplacian)
+    monkeypatch.setattr(prompt_mod, "beta_filter_apply", counting_one)
+    monkeypatch.setattr(prompt_mod, "bank_filter_apply", counting_bank)
+    monkeypatch.setattr(prompt_mod, "_forward", spy)
+    ops = prompt_mod._EdgeSetOperators(g, frozen.model)
+
+    def build(state, train):
+        counts.update(laplacians=0, passes=0)
+        if train:
+            prompt_mod._step(g, frozen, state, ops, rows, at)
+        else:
+            prompt_mod._full_forward(g, frozen, state, ops)
+        return counts["laplacians"], counts["passes"], seen[-1][0]
+
+    # (state, training build, Laplacians and passes it makes)
+    script = [
+        (a, True, 1), (a, False, 1),
+        (a, True, 0),  # a validation build between leaves the training operators
+        (b, False, 1), (a, False, 1),  # A -> B -> A on all rows: A is rebuilt
+        (a, True, 0), (a, False, 0),
+    ]
+    branches = []
+    for state, train, made in script:
+        laplacians, passes, br = build(state, train)
+        assert (laplacians, passes) == (made, made)
+        branches.append(br)
+    assert branches[0].prompted.key != branches[3].prompted.key
+    assert branches[2].lap is branches[0].lap and branches[5].lap is branches[0].lap
+    assert branches[4].lap is not branches[1].lap and branches[6].lap is branches[4].lap
+    assert np.array_equal(branches[4].base, branches[1].base) and np.array_equal(branches[4].gp, branches[1].gp)

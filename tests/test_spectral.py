@@ -58,9 +58,20 @@ def test_beta_constants_match_exact_fraction_oracle():
 
 
 def test_beta_constant_large_order_stays_finite():
-    # the log-space route must not overflow where factorials would
+    # integer arithmetic does not overflow where float factorials would
     v = beta_constant(120, 80)
     assert np.isfinite(v) and v > 0
+
+
+def test_beta_constant_beyond_float_range_is_rejected():
+    # (k+r+1) C(k+r, k) / 2 first leaves float64 at order 1021, in the
+    # middle of its bank
+    assert np.isfinite(beta_constant(510, 510)) and np.isfinite(beta_constant(495, 526))
+    with pytest.raises(ValueError, match="k=510, r=511"):
+        beta_constant(510, 511)
+    assert FilterBank.full(1020).size == 1021
+    with pytest.raises(ValueError, match="k=496, r=525"):
+        FilterBank.full(1021)
 
 
 def test_filter_responses_at_reference_points():
