@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Option precedence is defaults < JSON config file < explicit flags; every run
-writes its resolved configuration and a manifest of produced files next to
-its outputs. Wall-clock numbers go to a separate timings file so the
-deterministic outputs are byte-stable across reruns.
+Option precedence is defaults < JSON config file < explicit flags. A command
+only computes and returns its files; they are written to --out once it has
+succeeded, with its resolved configuration and a manifest of the files, so
+a command that fails writes nothing. Wall-clock numbers go to a separate
+timings file so the deterministic outputs are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import sys
 import time
 import typing
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +45,8 @@ from .pretrain import (
     contrastive_loss_fn,
     freeze,
     load_model,
+    model_bytes,
     pretrain,
-    save_model,
 )
 from .prompt import TuneConfig, tuning_loss_fn, variant_configs
 
@@ -264,37 +266,41 @@ def _nonempty_list(cfg, key, conv):
     return values
 
 
-def _fingerprint(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _finish_outputs(out_dir: Path, command: str, cfg: dict, files: list) -> None:
-    resolved = dict(cfg, command=command)
-    (out_dir / "config.json").write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
-    manifest = {
-        "command": command,
-        "config_fingerprint": _fingerprint(resolved),
-        "files": sorted(set(files) | {"config.json"}),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+def _tsv(header, rows) -> str:
+    def fmt(x):
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    return "".join("\t".join(fmt(x) for x in row) + "\n" for row in (header, *rows))
 
 
-def _out_dir(cfg) -> Path:
+def _write_outputs(command: str, cfg: dict, files) -> None:
+    """Make --out, write a command's files into it, then its resolved config
+    and a manifest of exactly the names written.
+
+    files maps each name to its text or bytes, or writes into the directory
+    it is given and returns the names it wrote.
+    """
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_tsv(path: Path, header, rows) -> None:
-    def fmt(x):
-        if isinstance(x, float):
-            return f"{x:.17g}"
-        return str(x)
-
-    with path.open("w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(fmt(x) for x in row) + "\n")
+    if callable(files):
+        names = files(out)
+    else:
+        for name, body in files.items():
+            if isinstance(body, bytes):
+                (out / name).write_bytes(body)
+            else:
+                (out / name).write_text(body)
+        names = list(files)
+    resolved = dict(cfg, command=command)
+    (out / "config.json").write_text(_json(resolved))
+    fingerprint = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
+    manifest = {"command": command, "config_fingerprint": fingerprint,
+                "files": sorted([*names, "config.json"])}
+    (out / "manifest.json").write_text(_json(manifest))
 
 
 def _load_data(cfg, key="data") -> Graph:
@@ -325,26 +331,21 @@ def _workers(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_csbm(cfg) -> int:
+def _cmd_gen_csbm(cfg):
     _require(cfg, "out")
     g = csbm.generate(_config(CsbmParams, "gen-csbm", cfg))
-    out = _out_dir(cfg)
-    save_graph(g, out)
-    _finish_outputs(out, "gen-csbm", cfg, ["meta.json", "edges.tsv", "features.bin", "labels.tsv"])
-    print(f"wrote {g.name}: {g.n_nodes} nodes, {g.n_edges} edges -> {out}")
-    return EXIT_OK
+    return partial(save_graph, g), (
+        f"wrote {g.name}: {g.n_nodes} nodes, {g.n_edges} edges -> {Path(cfg['out'])}"
+    )
 
 
-def _cmd_analyze(cfg) -> int:
+def _cmd_analyze(cfg):
     _require(cfg, "data", "out")
     g = _load_data(cfg)
-    bank = spectral.FilterBank.full(cfg["order"])  # a bad order is a usage error before any write
-    out = _out_dir(cfg)
-    files = []
+    bank = spectral.FilterBank.full(cfg["order"])
 
     profile = spectral.high_freq_profile(g, cfg["kind"])
-    _write_tsv(out / "s_high.tsv", ["dim", "s_high"], list(enumerate(profile)))
-    files.append("s_high.tsv")
+    files = {"s_high.tsv": _tsv(["dim", "s_high"], enumerate(profile))}
 
     report = {
         "dataset": g.name,
@@ -353,11 +354,10 @@ def _cmd_analyze(cfg) -> int:
         "feature_dim": g.feature_dim,
         "laplacian_kind": cfg["kind"],
         "mean_s_high": float(np.nanmean(profile)),
-        "homophily": None,
+        "homophily": edge_homophily(g),
         "energy_identity": None,
     }
     if g.labels is not None:
-        report["homophily"] = edge_homophily(g)
         errors = []
         s_vals = []
         for j in range(g.feature_dim):
@@ -385,47 +385,39 @@ def _cmd_analyze(cfg) -> int:
             energies.append(spectral.spectral_energy(decomp, x))
         if energies:
             mean_energy = np.mean(np.stack(energies), axis=0)
-            _write_tsv(
-                out / "spectral_energy.tsv",
-                ["lambda", "mean_energy"],
-                list(zip(decomp.eigenvalues, mean_energy)),
+            files["spectral_energy.tsv"] = _tsv(
+                ["lambda", "mean_energy"], zip(decomp.eigenvalues, mean_energy)
             )
-            files.append("spectral_energy.tsv")
     else:
         report["spectral_energy"] = "skipped: graph exceeds dense eigensolver limit"
 
     lam, curves = spectral.response_grid(list(bank.filters) + list(spectral.REFERENCE_FILTERS))
     header = ["lambda"] + list(curves)
     rows = [[lam[i]] + [curves[name][i] for name in curves] for i in range(lam.size)]
-    _write_tsv(out / "filter_curves.tsv", header, rows)
-    files.append("filter_curves.tsv")
-
-    (out / "analysis.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    files.append("analysis.json")
-    _finish_outputs(out, "analyze", cfg, files)
-    for key in ("homophily", "mean_s_high"):
-        print(f"{key}: {report[key]}")
+    files["filter_curves.tsv"] = _tsv(header, rows)
+    files["analysis.json"] = _json(report)
+    lines = [f"{key}: {report[key]}" for key in ("homophily", "mean_s_high")]
     if report["energy_identity"]:
-        print(f"energy identity max abs error: {report['energy_identity']['max_abs_error']:.3e}")
-    return EXIT_OK
+        error = report["energy_identity"]["max_abs_error"]
+        lines.append(f"energy identity max abs error: {error:.3e}")
+    return files, "\n".join(lines)
 
 
-def _cmd_pretrain(cfg) -> int:
+def _cmd_pretrain(cfg):
     _require(cfg, "data", "out")
     g = _load_data(cfg)
     variant = "low_pass_only" if cfg["low_pass_only"] else "full"
     pre, _ = variant_configs(variant, _config(PretrainConfig, "pretrain", cfg), TuneConfig())
-    out = _out_dir(cfg)
     model, history = pretrain(g, pre)
-    save_model(model, out / "model.ckpt")
-    _write_tsv(out / "loss_history.tsv", ["epoch", "loss"], list(enumerate(history)))
-    _finish_outputs(out, "pretrain", cfg, ["model.ckpt", "loss_history.tsv"])
-    print(f"pre-trained {model.bank.size} filter encoder(s) on {g.name}: "
-          f"final loss {history[-1]:.4f} ({len(history)} epochs)")
-    return EXIT_OK
+    files = {
+        "model.ckpt": model_bytes(model),
+        "loss_history.tsv": _tsv(["epoch", "loss"], enumerate(history)),
+    }
+    return files, (f"pre-trained {model.bank.size} filter encoder(s) on {g.name}: "
+                   f"final loss {history[-1]:.4f} ({len(history)} epochs)")
 
 
-def _cmd_tune(cfg) -> int:
+def _cmd_tune(cfg):
     _require(cfg, "data", "ckpt", "out")
     g = _load_data(cfg)
     ckpt = Path(cfg["ckpt"])
@@ -438,15 +430,14 @@ def _cmd_tune(cfg) -> int:
             f"the dataset has {g.feature_dim}", path=ckpt,
         )
     _, tune_cfg = variant_configs(cfg["variant"], PretrainConfig(), _config(TuneConfig, "tune", cfg))
-    out = _out_dir(cfg)
     split = kshot_split(g, cfg["k"], seed=cfg["seed"])
     state, history = prompt.tune(g, frozen, split, tune_cfg)
-    prompt.save_state(state, out / "state.bin")
-    _write_tsv(out / "tune_history.tsv", ["epoch", "loss", "val_f1"], history)
-    _finish_outputs(out, "tune", cfg, ["state.bin", "tune_history.tsv"])
+    files = {
+        "state.bin": prompt.state_bytes(state),
+        "tune_history.tsv": _tsv(["epoch", "loss", "val_f1"], history),
+    }
     best = max((row[2] for row in history if np.isfinite(row[2])), default=float("nan"))
-    print(f"tuned on {g.name}: best val F1 {best:.4f}, backbone hash verified")
-    return EXIT_OK
+    return files, f"tuned on {g.name}: best val F1 {best:.4f}, backbone hash verified"
 
 
 def _pipeline_config(command: str, cfg: dict, variant: str = "full") -> PipelineConfig:
@@ -456,7 +447,7 @@ def _pipeline_config(command: str, cfg: dict, variant: str = "full") -> Pipeline
     return _config(PipelineConfig, command, cfg, pretrain=pre, tune=tune_cfg)
 
 
-def _cmd_eval(cfg) -> int:
+def _cmd_eval(cfg):
     _require(cfg, "out")
     seeds = _nonempty_list(cfg, "seeds", int)
     pipeline = _pipeline_config("eval", cfg, cfg["variant"])
@@ -472,66 +463,54 @@ def _cmd_eval(cfg) -> int:
         target = _load_data(cfg, "target")
         report = evaluate.run_inductive(source, target, pipeline, seeds, workers=workers)
     report.wall_clock["total"] = time.perf_counter() - t0
-    out = _out_dir(cfg)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    (out / "report.txt").write_text(report.to_text())
-    (out / "timings.json").write_text(
-        json.dumps({k: round(v, 3) for k, v in report.wall_clock.items()}, sort_keys=True) + "\n"
-    )
-    _finish_outputs(out, "eval", cfg, ["report.json", "report.txt", "timings.json"])
-    print(report.to_text())
     # timing telemetry goes to stderr so stdout stays bit-reproducible
     for phase, secs in report.wall_clock.items():
         print(f"time {phase:<14} {secs:.2f}s", file=sys.stderr)
-    return EXIT_OK
+    timings = {k: round(v, 3) for k, v in report.wall_clock.items()}
+    files = {
+        "report.json": _json(report.to_json_dict()),
+        "report.txt": report.to_text(),
+        "timings.json": json.dumps(timings, sort_keys=True) + "\n",
+    }
+    return files, report.to_text()
 
 
-def _cmd_sweep(cfg) -> int:
+def _cmd_sweep(cfg):
     _require(cfg, "out")
     h_values = _nonempty_list(cfg, "h_values", float)
     seeds = _nonempty_list(cfg, "seeds", int)
     cells = evaluate.filter_sweep_study(h_values, seeds, _config(CsbmParams, "sweep", cfg))
-    out = _out_dir(cfg)
-    _write_tsv(
-        out / "sweep.tsv",
-        ["h", "seed", "filter", "test_f1"],
-        [(c.h, c.seed, c.filter, c.test_f1) for c in cells],
-    )
-    table = evaluate.sweep_table(cells)
-    _write_tsv(
-        out / "sweep_mean.tsv",
-        ["h", "filter", "mean_test_f1"],
-        [(h, f, v) for (h, f), v in sorted(table.items())],
-    )
-    _finish_outputs(out, "sweep", cfg, ["sweep.tsv", "sweep_mean.tsv"])
-    for (h, f), v in sorted(table.items()):
-        print(f"h={h:.1f} {f:<5} {v:.4f}")
-    return EXIT_OK
+    table = sorted(evaluate.sweep_table(cells).items())
+    files = {
+        "sweep.tsv": _tsv(["h", "seed", "filter", "test_f1"],
+                          [(c.h, c.seed, c.filter, c.test_f1) for c in cells]),
+        "sweep_mean.tsv": _tsv(["h", "filter", "mean_test_f1"], [(h, f, v) for (h, f), v in table]),
+    }
+    return files, "\n".join(f"h={h:.1f} {f:<5} {v:.4f}" for (h, f), v in table)
 
 
-def _cmd_ablate(cfg) -> int:
+def _cmd_ablate(cfg):
     _require(cfg, "data", "out")
     seeds = _nonempty_list(cfg, "seeds", int)
     g = _load_data(cfg)
     rows = evaluate.run_ablation_study(g, _pipeline_config("ablate", cfg), seeds)
-    out = _out_dir(cfg)
     tsv_rows = [
         (r.variant, r.mean_f1, r.std_f1 if r.std_f1 is not None else float("nan"), *r.per_seed)
         for r in rows
     ]
     seed_cols = [f"seed{s}" for s in seeds]
-    _write_tsv(out / "ablation.tsv", ["variant", "mean_f1", "std_f1", *seed_cols], tsv_rows)
-    _finish_outputs(out, "ablate", cfg, ["ablation.tsv"])
+    files = {"ablation.tsv": _tsv(["variant", "mean_f1", "std_f1", *seed_cols], tsv_rows)}
+    lines = []
     for r in rows:
         std = f" +/- {r.std_f1:.4f}" if r.std_f1 is not None else ""
-        print(f"{r.variant:<16} {r.mean_f1:.4f}{std}")
-    return EXIT_OK
+        lines.append(f"{r.variant:<16} {r.mean_f1:.4f}{std}")
+    return files, "\n".join(lines)
 
 
-def _cmd_gradcheck(cfg) -> int:
+def _cmd_gradcheck(cfg):
     tol = cfg["tol"]
+    if not (np.isfinite(tol) and tol > 0):
+        raise CliUsageError(f"--tol must be positive and finite, not {tol}")
     reports = gradient_check_reports(cfg["seed"])
     worst = 0.0
     for name, rep in reports:
@@ -542,7 +521,7 @@ def _cmd_gradcheck(cfg) -> int:
         worst = max(worst, rep.max_rel_error)
     if worst >= tol:
         raise NumericError(f"gradient check failed: {worst:.3e} >= {tol:.1e}")
-    return EXIT_OK
+    return None, None
 
 
 def gradient_check_reports(seed: int = 0):
@@ -582,7 +561,13 @@ def main(argv=None) -> int:
             parser.print_help()
             return EXIT_USAGE
         cfg = _merge_config(ns.command, ns)
-        return _COMMANDS[ns.command](cfg)
+        # a command only computes; its files are written once it has succeeded
+        files, message = _COMMANDS[ns.command](cfg)
+        if files is not None:
+            _write_outputs(ns.command, cfg, files)
+        if message is not None:
+            print(message)
+        return EXIT_OK
     except CliUsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,8 +38,8 @@ class CsbmParams:
             raise ValueError("d_avg must be positive")
         if not 0.0 <= self.h <= 1.0:
             raise ValueError("h must lie in [0, 1]")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be finite and non-negative")
         p_in, p_out = edge_probabilities(self)
         for name, p in (("intra", p_in), ("inter", p_out)):
             if not 0.0 <= p <= 1.0:

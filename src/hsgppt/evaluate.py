@@ -92,7 +92,7 @@ class PipelineConfig:
 class SeedResult:
     seed: int
     accuracy: float
-    macro_f1: float
+    f1: float  # averaged as EvalReport.f1_average says
 
 
 @dataclass
@@ -106,14 +106,19 @@ class EvalReport:
     std_accuracy: float | None  # sample std, None below 2 seeds
     std_f1: float | None
     config_fingerprint: str
+    f1_average: str = "macro"  # how each F1 averages its classes
     # seconds: "total" (set by the CLI) is the run's wall clock; each
     # "<phase>_seed_sum" is that phase's per-seed time summed over seeds
     wall_clock: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        # wall_clock is left out so re-runs are bit-exact
+        # wall_clock is left out so re-runs are bit-exact; each seed's F1 is
+        # keyed by its average ("macro_f1")
         out = asdict(self)
         del out["wall_clock"]
+        f1_key = f"{out.pop('f1_average')}_f1"
+        for row in out["per_seed"]:
+            row[f1_key] = row.pop("f1")
         return out
 
     def to_text(self) -> str:
@@ -122,14 +127,14 @@ class EvalReport:
             f"dataset            {self.dataset}",
             f"mode               {self.mode}",
             f"seeds              {', '.join(str(s) for s in self.seeds)}",
-            f"{'seed':>6} {'accuracy':>10} {'macro_f1':>10}",
+            f"{'seed':>6} {'accuracy':>10} {self.f1_average + '_f1':>10}",
         ]
         for r in self.per_seed:
-            lines.append(f"{r.seed:>6} {r.accuracy:>10.4f} {r.macro_f1:>10.4f}")
+            lines.append(f"{r.seed:>6} {r.accuracy:>10.4f} {r.f1:>10.4f}")
         std_a = f" +/- {self.std_accuracy:.4f}" if self.std_accuracy is not None else ""
         std_f = f" +/- {self.std_f1:.4f}" if self.std_f1 is not None else ""
         lines.append(f"{'mean':>6} {self.mean_accuracy:>10.4f}{std_a}")
-        lines.append(f"{'':>6} {self.mean_f1:>10.4f}{std_f} (macro F1)")
+        lines.append(f"{'':>6} {self.mean_f1:>10.4f}{std_f} ({self.f1_average} F1)")
         return "\n".join(lines) + "\n"
 
 
@@ -161,7 +166,7 @@ def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None
     result = SeedResult(
         seed=seed,
         accuracy=accuracy(pred, g.labels, split.test_indices),
-        macro_f1=f1_score(pred, g.labels, class_count(g), split.test_indices, cfg.f1_average),
+        f1=f1_score(pred, g.labels, class_count(g), split.test_indices, cfg.f1_average),
     )
     return result, timings
 
@@ -192,7 +197,7 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
         for phase, v in timings.items():
             seconds[f"{phase}_seed_sum"] += v
     accs = [r.accuracy for r in rows]
-    f1s = [r.macro_f1 for r in rows]
+    f1s = [r.f1 for r in rows]
     return EvalReport(
         dataset=name,
         mode=mode,
@@ -203,6 +208,7 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
         std_accuracy=_sample_std(accs),
         std_f1=_sample_std(f1s),
         config_fingerprint=cfg.fingerprint(extra),
+        f1_average=cfg.f1_average,
         wall_clock=seconds,
     )
 
@@ -259,7 +265,7 @@ def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> l
                 model, _ = pretrain(g, replace(pre_cfg, seed=seed))
                 backbones[key] = freeze(model)
             result, _ = _run_seed(g, variant_cfg, seed, frozen=backbones[key])
-            scores.append(result.macro_f1)
+            scores.append(result.f1)
         rows.append(
             AblationRow(
                 variant=variant,

@@ -198,21 +198,20 @@ def laplacian(g: Graph, kind: LaplacianKind = "normalized") -> sp.csr_matrix:
     raise ValueError(f"unknown laplacian kind: {kind!r}")
 
 
-def edge_homophily(g: Graph) -> float:
+def edge_homophily(g: Graph) -> float | None:
     """Fraction of edges whose endpoints share a label.
 
     Computed over edges with both endpoints labeled; on a fully labeled graph
-    this is exactly (# same-label edges) / |E|.
+    this is exactly (# same-label edges) / |E|. None where no edge has both
+    endpoints labeled (no labels, or no edges): there it is undefined.
     """
     if g.labels is None:
-        raise ValueError("labels absent")
-    if g.n_edges == 0:
-        raise ValueError("graph has no edges")
+        return None
     lu = g.labels[g.edges[:, 0]]
     lv = g.labels[g.edges[:, 1]]
     both = (lu >= 0) & (lv >= 0)
     if not np.any(both):
-        raise ValueError("no edge has both endpoints labeled")
+        return None
     return float(np.mean(lu[both] == lv[both]))
 
 
@@ -511,8 +510,9 @@ def load_graph(path) -> Graph:
     )
 
 
-def save_graph(g: Graph, path) -> None:
-    """Write a graph as a dataset directory (features stored as features.bin)."""
+def save_graph(g: Graph, path) -> list[str]:
+    """Write a graph as a dataset directory (features stored as features.bin);
+    returns the names of the files written."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -532,6 +532,7 @@ def save_graph(g: Graph, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(g.features, dtype="<f8")))
     labels = g.labels if g.labels is not None else -np.ones(g.n_nodes, dtype=np.int64)
     (root / _LABELS).write_text(("%d\n" * g.n_nodes) % tuple(labels.tolist()))
+    return [_META, _EDGES, _FEATURES_BIN, _LABELS]
 
 
 # feature transforms applied by CLI flag, never by the loader

@@ -66,9 +66,11 @@ class PretrainConfig:
     def __post_init__(self):
         # the bank itself is checked when built: --low-pass-only takes orders
         # whose full bank overflows
-        for name, least in (("order", 0), ("epochs", 1), ("hidden_dim", 1)):
+        for name, least in (("order", 0), ("epochs", 1), ("hidden_dim", 1), ("patience", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"pre-training takes {name} >= {least}, not {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"pre-training takes a positive finite lr, not {self.lr}")
 
     def bank(self) -> FilterBank:
         if self.filters is not None:

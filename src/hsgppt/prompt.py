@@ -95,8 +95,12 @@ TAU_CROSS_HOMOPHILIC = 0.55
 TAU_CROSS_HETEROPHILIC = 0.40
 
 
-def default_tau_cross(homophily: float) -> float:
-    return TAU_CROSS_HOMOPHILIC if homophily >= 0.5 else TAU_CROSS_HETEROPHILIC
+def default_tau_cross(homophily: float | None) -> float:
+    """tau_cross for a graph of this edge homophily; None (undefined) counts
+    as heterophilic."""
+    if homophily is not None and homophily >= 0.5:
+        return TAU_CROSS_HOMOPHILIC
+    return TAU_CROSS_HETEROPHILIC
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,12 @@ class TuneConfig:
         for name, least in (("epochs", 1), ("eval_every", 1), ("n_prompt", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"tuning takes {name} >= {least}, not {getattr(self, name)}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"tuning takes a positive finite lr, not {self.lr}")
+        for name in ("tau_inner", "tau_cross"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"tuning takes a finite {name}, not {value}")
 
 
 # ablation variant -> (pre-trains on the low-pass kernel g_{0,C} alone,
@@ -626,7 +636,7 @@ def init_state(
     mu_o, sigma_o = feature_stats(g.features) if stats is None else stats
     tau_cross = cfg.tau_cross
     if tau_cross is None:
-        tau_cross = default_tau_cross(edge_homophily(g)) if g.labels is not None else TAU_CROSS_HETEROPHILIC
+        tau_cross = default_tau_cross(edge_homophily(g))
     shared = cfg.shared_prompt or cfg.n_prompt == 0
     n_graphs = 1 if shared else frozen.model.bank.size
     # one draw replicated across per-filter graphs: at init the per-filter

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+import hsgppt.cli as cli
 import hsgppt.evaluate as evaluate
 from hsgppt.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -275,6 +276,14 @@ def test_empty_list_is_usage_error(tmp_path, capsys, command, flag, noun, writte
     ("tune", ("--n-prompt", -1), "n_prompt"),
     ("eval", ("--tune-epochs", 0), "epochs"),
     ("ablate", ("--tune-epochs", 0), "epochs"),
+    ("pretrain", ("--lr", "nan"), "lr"),
+    ("pretrain", ("--lr", 0), "lr"),
+    ("pretrain", ("--patience", -1), "patience"),
+    ("tune", ("--lr", "nan"), "lr"),
+    ("tune", ("--tau-cross", "nan"), "tau_cross"),
+    ("tune", ("--tau-inner", "inf"), "tau_inner"),
+    ("eval", ("--pretrain-lr", "inf"), "lr"),
+    ("ablate", ("--tune-lr", "nan"), "lr"),
 ])
 def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, field):
     # the configs reject these before anything is written
@@ -292,7 +301,25 @@ def test_config_out_of_range_is_usage_error(tmp_path, capsys, command, flags, fi
     assert run(command, *args, *flags) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and field in err and err.count("\n") == 1
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_non_finite_config_file_value_is_usage_error(tmp_path, capsys):
+    # json reads NaN, which a flag cannot smuggle past the configs either
+    data = gen(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lr": float("nan")}))
+    capsys.readouterr()
+    assert run("pretrain", "--data", data, "--out", tmp_path / "o", "--config", cfg_path) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: pre-training takes a positive finite lr, not nan\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_gradcheck_tolerance_must_be_positive_and_finite(capsys, tol):
+    assert run("gradcheck", "--tol", tol) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: --tol"), captured
 
 
 @pytest.mark.parametrize("order", [-1, 1021])
@@ -308,7 +335,7 @@ def test_filter_order_without_a_bank_is_usage_error(tmp_path, capsys, command, o
     assert run(command, *args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, k", [("eval", 0), ("eval", 100), ("ablate", 0), ("ablate", 100)])
@@ -438,3 +465,65 @@ def test_negative_worker_count_is_usage_error(tmp_path, capsys):
                    "--out", tmp_path / "ev", "--seeds", "0,1", "--workers", -2) == EXIT_USAGE
         assert "--workers must be 0 or more" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("command", ["tune", "pretrain", "analyze"])
+def test_failed_command_leaves_no_out(tmp_path, monkeypatch, capsys, command):
+    # each fails after its --out is known and its data is loaded
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    if command == "tune":
+        pre = tmp_path / "pre"
+        assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4, "--epochs", 1) == EXIT_OK
+        # the generated classes hold ~20 nodes each, too few for 100 shots
+        argv, code = ("--ckpt", pre / "model.ckpt", "--k", 100, "--epochs", 1), EXIT_USAGE
+    elif command == "pretrain":
+        monkeypatch.setattr(cli, "pretrain", _raise(cli.NumericError("loss is not finite")))
+        argv, code = ("--hidden", 4, "--epochs", 1), EXIT_NUMERIC
+    else:
+        # after s_high.tsv's profile, before the filter curves
+        monkeypatch.setattr(cli.spectral, "response_grid", _raise(cli.NumericError("overflow")))
+        argv, code = (), EXIT_NUMERIC
+    capsys.readouterr()
+    assert run(command, "--data", data, "--out", out, *argv) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_edgeless_labelled_graph_has_no_homophily(tmp_path, capsys):
+    # edge homophily is undefined without edges: analyze reports null, and
+    # tune's automatic tau_cross takes the heterophilic value
+    data = gen(tmp_path)
+    edgeless = tmp_path / "edgeless"
+    edgeless.mkdir()
+    for p in data.iterdir():
+        (edgeless / p.name).write_bytes(b"" if p.name == "edges.tsv" else p.read_bytes())
+    assert run("analyze", "--data", edgeless, "--out", tmp_path / "an") == EXIT_OK
+    report = json.loads((tmp_path / "an" / "analysis.json").read_text())
+    assert report["n_edges"] == 0 and report["homophily"] is None
+    pre = tmp_path / "pre"
+    assert run("pretrain", "--data", data, "--out", pre, "--hidden", 4, "--epochs", 1) == EXIT_OK
+    assert run("tune", "--data", edgeless, "--ckpt", pre / "model.ckpt", "--out", tmp_path / "tu",
+               "--k", 2, "--n-prompt", 3, "--epochs", 2, "--eval-every", 1) == EXIT_OK
+    assert (tmp_path / "tu" / "state.bin").is_file()
+
+
+def test_weighted_f1_is_named_weighted(tmp_path, capsys):
+    data = gen(tmp_path)
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run("eval", "--data", data, "--out", out, "--seeds", "0,1", "--k", 2, "--hidden", 4,
+               "--pretrain-epochs", 2, "--tune-epochs", 2, "--n-prompt", 3,
+               "--f1-average", "weighted") == EXIT_OK
+    text = (out / "report.txt").read_text()
+    assert capsys.readouterr().out == text + "\n"
+    assert "weighted_f1" in text and "(weighted F1)" in text
+    report = json.loads((out / "report.json").read_text())
+    assert all(set(row) == {"seed", "accuracy", "weighted_f1"} for row in report["per_seed"])
+    assert "macro" not in text and "macro" not in (out / "report.json").read_text()

@@ -116,3 +116,14 @@ def test_written_config_manifest_and_report_bytes(tmp_path, monkeypatch, capsys)
         for name in sorted(written):
             got = (Path(out) / name).read_bytes()
             assert got == (expected_dir / name).read_bytes(), f"{command}/{name}"
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, out, argv in COMMAND_LINES:
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_OK, command
+        if out is None:
+            continue
+        manifest = json.loads((Path(out) / "manifest.json").read_text())
+        on_disk = sorted(p.name for p in Path(out).iterdir() if p.name != "manifest.json")
+        assert manifest["files"] == on_disk, command

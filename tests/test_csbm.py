@@ -31,6 +31,9 @@ def test_params_validation():
         CsbmParams(n=100, f=0, d_avg=2.0, h=0.5, mu=1.0, seed=0)
     with pytest.raises(ValueError):
         CsbmParams(n=100, f=4, d_avg=200.0, h=1.0, mu=1.0, seed=0)  # p_in > 1
+    for d_avg, h, mu in ((float("nan"), 0.5, 1.0), (2.0, float("nan"), 1.0), (2.0, 0.5, float("nan"))):
+        with pytest.raises(ValueError):
+            CsbmParams(n=100, f=4, d_avg=d_avg, h=h, mu=mu, seed=0)
 
 
 def test_generated_graph_shape_and_balance():

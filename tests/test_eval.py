@@ -116,15 +116,15 @@ def test_run_transductive_report_shape_and_determinism():
     rep2 = run_transductive(g, cfg, seeds=[0, 1])
     assert rep1.dataset == g.name and rep1.mode == "transductive"
     assert [r.seed for r in rep1.per_seed] == [0, 1]
-    assert rep1.mean_f1 == pytest.approx(np.mean([r.macro_f1 for r in rep1.per_seed]))
-    assert rep1.std_f1 == pytest.approx(np.std([r.macro_f1 for r in rep1.per_seed], ddof=1))
+    assert rep1.mean_f1 == pytest.approx(np.mean([r.f1 for r in rep1.per_seed]))
+    assert rep1.std_f1 == pytest.approx(np.std([r.f1 for r in rep1.per_seed], ddof=1))
     assert rep1.to_json_dict() == rep2.to_json_dict()  # timings excluded
     assert "wall_clock" not in rep1.to_json_dict()
     assert set(rep1.wall_clock) == {"pretrain_seed_sum", "tune_seed_sum"}
     assert all(v > 0 for v in rep1.wall_clock.values())
     single = run_transductive(g, cfg, seeds=[0])
     assert single.std_f1 is None and single.std_accuracy is None
-    assert single.per_seed[0].macro_f1 == rep1.per_seed[0].macro_f1
+    assert single.per_seed[0].f1 == rep1.per_seed[0].f1
 
 
 def test_run_transductive_workers_match_serial():
@@ -184,7 +184,7 @@ def test_report_text_format():
         dataset="d",
         mode="transductive",
         seeds=[0],
-        per_seed=[SeedResult(seed=0, accuracy=0.75, macro_f1=0.5)],
+        per_seed=[SeedResult(seed=0, accuracy=0.75, f1=0.5)],
         mean_accuracy=0.75,
         mean_f1=0.5,
         std_accuracy=None,

@@ -177,6 +177,14 @@ def test_edge_homophily_ignores_unlabeled_endpoints():
     assert edge_homophily(g) == 1.0  # the (1,2) edge is excluded
 
 
+def test_edge_homophily_is_none_where_undefined():
+    edges = np.array([[0, 1], [1, 2]])
+    assert edge_homophily(Graph("t", edges, np.zeros((3, 1)))) is None  # no labels
+    assert edge_homophily(Graph("t", edges, np.zeros((3, 1)), labels=[0, -1, 1], n_classes=2)) is None
+    edgeless = Graph("t", np.empty((0, 2), dtype=np.int64), np.zeros((3, 1)), labels=[0, 0, 1], n_classes=2)
+    assert edge_homophily(edgeless) is None
+
+
 def test_kshot_split_shapes_and_disjointness():
     labels = np.array([0] * 10 + [1] * 10)
     g = Graph("g", np.empty((0, 2)), np.zeros((20, 2)), labels=labels, n_classes=2)

@@ -578,6 +578,7 @@ def test_default_tau_cross_threshold():
     assert default_tau_cross(0.5) == TAU_CROSS_HOMOPHILIC
     assert default_tau_cross(0.49) == TAU_CROSS_HETEROPHILIC
     assert default_tau_cross(0.0) == TAU_CROSS_HETEROPHILIC
+    assert default_tau_cross(None) == TAU_CROSS_HETEROPHILIC  # undefined homophily
 
 
 def test_init_state_deterministic_and_auto_tau():
