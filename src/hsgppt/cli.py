@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 import typing
@@ -152,7 +151,7 @@ _TABLE = {
         _DATA, _Key("source"), _Key("target"), _OUT, _SEEDS, _SHOTS,
         *_pretrain_keys("pretrain_"), *_tune_keys("tune_"),
         _field("svd_dim", PipelineConfig, help="inductive mode only"),
-        _Key("workers", int, 0, help="0 = HSGPPT_THREADS or 1"),
+        _Key("workers", int, 0, help="processes for the seeds; 0 or 1 = one"),
         _field("f1_average", PipelineConfig, choices=("macro", "weighted")),
         _FEATURE_TRANSFORM, _Key("variant", default="full", choices=tuple(prompt.ABLATION_VARIANTS)),
     )),
@@ -311,21 +310,6 @@ def _load_data(cfg, key="data") -> Graph:
     return g
 
 
-def _workers(cfg) -> int:
-    if cfg["workers"] < 0:
-        raise CliUsageError(f"--workers must be 0 or more, not {cfg['workers']}")
-    if cfg["workers"] > 0:
-        return cfg["workers"]
-    env = os.environ.get("HSGPPT_THREADS", "")
-    try:
-        threads = int(env) if env else 1
-    except ValueError:
-        raise CliUsageError(f"HSGPPT_THREADS must be an integer, not {env!r}")
-    if threads < 0:
-        raise CliUsageError(f"HSGPPT_THREADS must be 0 or more, not {threads}")
-    return max(1, threads)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -353,7 +337,12 @@ def _cmd_analyze(cfg):
         "n_edges": g.n_edges,
         "feature_dim": g.feature_dim,
         "laplacian_kind": cfg["kind"],
-        "mean_s_high": float(np.nanmean(profile)),
+        # undefined, as homophily can be, without edges (an isolated node's
+        # normalized row is the identity row, so every column would read 1.0,
+        # and 0.0 unnormalized) or without a column of nonzero norm (NaN)
+        "mean_s_high": (
+            float(np.nanmean(profile)) if g.n_edges and not np.isnan(profile).all() else None
+        ),
         "homophily": edge_homophily(g),
         "energy_identity": None,
     }
@@ -451,7 +440,9 @@ def _cmd_eval(cfg):
     _require(cfg, "out")
     seeds = _nonempty_list(cfg, "seeds", int)
     pipeline = _pipeline_config("eval", cfg, cfg["variant"])
-    workers = _workers(cfg)
+    workers = cfg["workers"]  # the pipeline runs 0 or 1 as one process
+    if workers < 0:
+        raise CliUsageError(f"--workers must be 0 or more, not {workers}")
     t0 = time.perf_counter()
     if cfg["mode"] == "transductive":
         _require(cfg, "data")

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .csbm import CsbmParams, generate
-from .graph import Graph, class_count, kshot_split, laplacian, svd_reduce, with_features
+from .graph import Graph, kshot_split, laplacian, svd_reduce, with_features
 from .nn import Adam, LinearLayer, softmax_cross_entropy
 from .pretrain import PretrainConfig, derive_seed, freeze, pretrain
 from .prompt import ABLATION_VARIANTS, TuneConfig, predict, tune, variant_configs
@@ -166,7 +166,7 @@ def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None
     result = SeedResult(
         seed=seed,
         accuracy=accuracy(pred, g.labels, split.test_indices),
-        f1=f1_score(pred, g.labels, class_count(g), split.test_indices, cfg.f1_average),
+        f1=f1_score(pred, g.labels, g.n_classes, split.test_indices, cfg.f1_average),
     )
     return result, timings
 
@@ -282,19 +282,24 @@ def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> l
 # ---------------------------------------------------------------------------
 
 
-def train_linear_probe(X, labels, n_classes, split_idx, lr=0.05, epochs=200, seed=0):
-    """Logistic head on fixed features; returns test macro F1 at best val F1."""
+_PROBE_LR = 0.05
+_PROBE_EPOCHS = 200
+
+
+def train_linear_probe(X, labels, n_classes, split_idx, seed=0):
+    """Logistic head on fixed features, trained 200 epochs by Adam at lr
+    0.05; returns test macro F1 at best val F1."""
     train_idx, val_idx, test_idx = split_idx
     rng = np.random.default_rng(derive_seed(seed, 3))
     head = LinearLayer(X.shape[1], n_classes, rng, activation="identity", prefix="probe")
-    opt = Adam(head.params(), lr=lr)
+    opt = Adam(head.params(), lr=_PROBE_LR)
     best = (-1.0, None)
-    for epoch in range(epochs):
+    for epoch in range(_PROBE_EPOCHS):
         logits, vjp = head.apply(X)
         _, dlogits = softmax_cross_entropy(logits, labels, train_idx)
         vjp(dlogits)
         opt.step()
-        if (epoch + 1) % 10 == 0 or epoch == epochs - 1:
+        if (epoch + 1) % 10 == 0 or epoch == _PROBE_EPOCHS - 1:
             logits, _ = head.apply(X)
             pred = np.argmax(logits, axis=1)
             val = macro_f1(pred, labels, n_classes, val_idx)

@@ -71,7 +71,8 @@ class Graph:
 
     edges holds each undirected edge exactly once as (u, v) with u < v,
     sorted lexicographically. labels uses -1 for unlabeled nodes; None means
-    the dataset carries no labels at all.
+    the dataset carries no labels at all. Labels given without n_classes
+    record one more than the largest label as it.
     """
 
     name: str
@@ -107,7 +108,9 @@ class Graph:
                 raise ValueError("labels length must match node count")
             if labels.min(initial=0) < -1:
                 raise ValueError("labels must be >= -1")
-            if self.n_classes is not None and labels.max(initial=-1) >= self.n_classes:
+            if self.n_classes is None:
+                object.__setattr__(self, "n_classes", int(labels.max(initial=-1)) + 1)
+            elif labels.max(initial=-1) >= self.n_classes:
                 raise ValueError("label id exceeds n_classes")
         object.__setattr__(self, "features", _locked(feats))
         object.__setattr__(self, "edges", _locked(edges))
@@ -215,22 +218,16 @@ def edge_homophily(g: Graph) -> float | None:
     return float(np.mean(lu[both] == lv[both]))
 
 
-def class_count(g: Graph) -> int:
-    """g.n_classes, or one more than the largest label when it is not recorded."""
-    return g.n_classes if g.n_classes is not None else int(g.labels.max()) + 1
-
-
 def kshot_split(g: Graph, k: int, seed: int) -> DatasetSplit:
     """Sample K labeled nodes per class; split the rest 50/50 into val/test."""
     if g.labels is None:
         raise ValueError("labels absent")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_classes = class_count(g)
     rng = np.random.default_rng(seed)
     shots = []
     taken = np.zeros(g.n_nodes, dtype=bool)
-    for c in range(n_classes):
+    for c in range(g.n_classes):
         members = np.flatnonzero(g.labels == c)
         if members.size < k + 2:
             raise ValueError(
@@ -548,10 +545,10 @@ def transform_features(features: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown feature transform: {mode!r}")
 
 
-def with_features(g: Graph, features: np.ndarray, name: str | None = None) -> Graph:
-    """Copy of g with a replaced feature matrix (same structure and labels)."""
+def with_features(g: Graph, features: np.ndarray) -> Graph:
+    """Copy of g with a replaced feature matrix (same name, structure and labels)."""
     return Graph(
-        name=name if name is not None else g.name,
+        name=g.name,
         edges=g.edges,
         features=features,
         labels=g.labels,

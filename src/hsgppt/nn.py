@@ -34,9 +34,9 @@ class Param:
         self.grad[...] = 0.0
 
 
-def glorot(rng, fan_in, fan_out, shape=None):
+def glorot(rng, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def sigmoid(x):
@@ -143,8 +143,8 @@ def softmax_over_filters_vjp(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 class BilinearDiscriminator:
     """Agreement score sigma(z^T W s) between embeddings and a summary."""
 
-    def __init__(self, dim, rng, prefix="discriminator"):
-        self.weight = Param(glorot(rng, dim, dim), f"{prefix}.weight")
+    def __init__(self, dim, rng):
+        self.weight = Param(glorot(rng, dim, dim), "discriminator.weight")
 
     def params(self):
         return [self.weight]
@@ -214,22 +214,23 @@ def softmax_cross_entropy(logits, labels, mask_indices):
     return loss, dlogits
 
 
-class Adam:
-    """Adam with bias correction; grads are zeroed after each step."""
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with bias correction (beta1 0.9, beta2 0.999, eps 1e-8); grads
+    are zeroed after each step."""
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             m *= b1
@@ -238,7 +239,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
             p.zero_grad()
 
 
@@ -258,13 +259,18 @@ class GradCheckReport:
         return self.max_rel_error < tol
 
 
-def finite_diff_check(loss_fn, params, step=1e-5, max_coords=50, seed=0) -> GradCheckReport:
+_FD_STEP = 1e-5
+_FD_MAX_COORDS = 50
+
+
+def finite_diff_check(loss_fn, params, seed=0) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     loss_fn() must zero grads, run forward and backward, and return the
-    scalar loss, leaving gradients in the given params. At most max_coords
-    coordinates per parameter are probed (sampled with the given seed).
-    Relative errors guard tiny denominators with an absolute floor of 1e-8.
+    scalar loss, leaving gradients in the given params. Each coordinate is
+    moved by +-1e-5, and at most 50 coordinates per parameter are probed
+    (sampled with the given seed). Relative errors guard tiny denominators
+    with an absolute floor of 1e-8.
     """
     rng = np.random.default_rng(seed)
     loss_fn()
@@ -273,18 +279,18 @@ def finite_diff_check(loss_fn, params, step=1e-5, max_coords=50, seed=0) -> Grad
     for p, g in zip(params, analytic):
         flat = p.value.reshape(-1)
         n = flat.size
-        coords = np.arange(n) if n <= max_coords else np.sort(
-            rng.choice(n, size=max_coords, replace=False)
+        coords = np.arange(n) if n <= _FD_MAX_COORDS else np.sort(
+            rng.choice(n, size=_FD_MAX_COORDS, replace=False)
         )
         worst = 0.0
         for c in coords:
             keep = flat[c]
-            flat[c] = keep + step
+            flat[c] = keep + _FD_STEP
             up = loss_fn()
-            flat[c] = keep - step
+            flat[c] = keep - _FD_STEP
             down = loss_fn()
             flat[c] = keep
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * _FD_STEP)
             an = g.reshape(-1)[c]
             denom = max(abs(fd), abs(an), 1e-8)
             worst = max(worst, abs(fd - an) / denom)

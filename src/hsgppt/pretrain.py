@@ -267,7 +267,6 @@ def pretrain(g: Graph, cfg: PretrainConfig):
     history = []
     best_loss = np.inf
     best_epoch = -1
-    best_state = None
 
     def negative_views(epoch):
         corrupted = corrupt_features(g, seed=derive_seed(cfg.seed, 1, epoch))
@@ -292,16 +291,15 @@ def pretrain(g: Graph, cfg: PretrainConfig):
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite pre-training loss at epoch {epoch}")
             history.append(float(loss))
-            if loss < best_loss:
+            if loss < best_loss:  # at epoch 0 always: the loss is finite
                 best_loss = loss
                 best_epoch = epoch
                 best_state = [p.value.copy() for p in model.params()]
             opt.step()
             if epoch - best_epoch >= cfg.patience:
                 break
-    if best_state is not None:
-        for p, v in zip(model.params(), best_state):
-            p.value[...] = v
+    for p, v in zip(model.params(), best_state):
+        p.value[...] = v
     return model, history
 
 
@@ -323,11 +321,6 @@ def model_bytes(model: PretrainedModel) -> bytes:
 
 def content_hash(model: PretrainedModel) -> str:
     return hashlib.sha256(model_bytes(model)).hexdigest()
-
-
-def save_model(model: PretrainedModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_bytes(model))
 
 
 def load_model(path) -> PretrainedModel:
@@ -382,15 +375,16 @@ class FrozenModel:
     """Backbone with locked parameter arrays and a recorded content hash."""
 
     model: PretrainedModel
-    content_hash: str = field(default="")
+    content_hash: str = field(init=False)
 
     def __post_init__(self):
         for p in self.model.params():
             p.value.setflags(write=False)
-        if not self.content_hash:
-            self.content_hash = content_hash(self.model)
+        self.content_hash = content_hash(self.model)
 
     def rehash(self) -> str:
+        """The model's hash as it is now (the benchmark harness compares it
+        with content_hash after each tuning call)."""
         return content_hash(self.model)
 
     def verify(self):

@@ -65,7 +65,6 @@ import numpy as np
 from .graph import (
     DatasetSplit,
     Graph,
-    class_count,
     edge_homophily,
     laplacian,
     normalized_laplacian_entries,
@@ -665,15 +664,15 @@ def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
     frozen.verify()
     if g.labels is None:
         raise ValueError("labels absent")
-    n_classes = class_count(g)
     ops = _EdgeSetOperators(g, frozen.model)
-    state = init_state(g, frozen, cfg, n_classes, ops.stats)
+    state = init_state(g, frozen, cfg, g.n_classes, ops.stats)
     params = state.tunable_params()
     opt = Adam(params, lr=cfg.lr)
     rows, at = _loss_rows(np.concatenate(split.shot_indices))
     history = []
+    # below any F1, so the first validation sets best_values (the last epoch
+    # always validates)
     best_f1 = -1.0
-    best_values = None
     for epoch in range(cfg.epochs):
         loss = _step(g, frozen, state, ops, rows, at)
         if not np.isfinite(loss):
@@ -682,15 +681,14 @@ def tune(g: Graph, frozen: FrozenModel, split: DatasetSplit, cfg: TuneConfig):
         val_f1 = np.nan
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             pred = np.argmax(_full_forward(g, frozen, state, ops)[1], axis=1)
-            val_f1 = macro_f1(pred, g.labels, n_classes, split.val_indices)
+            val_f1 = macro_f1(pred, g.labels, g.n_classes, split.val_indices)
             if val_f1 > best_f1:
                 best_f1 = val_f1
                 best_values = [p.value.copy() for p in params]
         history.append((epoch, float(loss), float(val_f1)))
     frozen.verify()
-    if best_values is not None:
-        for p, v in zip(params, best_values):
-            p.value[...] = v
+    for p, v in zip(params, best_values):
+        p.value[...] = v
     return state, history
 
 
@@ -724,11 +722,6 @@ def state_bytes(state: PromptState) -> bytes:
 
 def state_hash(state: PromptState) -> str:
     return hashlib.sha256(state_bytes(state)).hexdigest()
-
-
-def save_state(state: PromptState, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(state_bytes(state))
 
 
 def state_from_bytes(blob: bytes) -> PromptState:

@@ -308,14 +308,10 @@ def eigendecompose(L, limit: int = DENSE_EIGEN_LIMIT) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def to_spectral(decomp: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform U^T x (norm-preserving)."""
-    return decomp.eigenvectors.T @ np.asarray(x, dtype=np.float64)
-
-
 def spectral_energy(decomp: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
-    """Distribution x_hat_i^2 / sum_j x_hat_j^2 over the eigenbasis."""
-    xhat = to_spectral(decomp, x)
+    """Distribution x_hat_i^2 / sum_j x_hat_j^2 over the eigenbasis, with
+    x_hat = U^T x the graph Fourier transform."""
+    xhat = decomp.eigenvectors.T @ np.asarray(x, dtype=np.float64)
     total = float(xhat @ xhat)
     if total == 0.0:
         raise ValueError("zero signal has no spectral energy distribution")
@@ -373,7 +369,6 @@ def class_distance_expectations(g: Graph, x: np.ndarray):
 class EnergyIdentityReport:
     s_high: float  # x^T (D - A) x / x^T x
     mixture_rhs: float  # |E| (h intra + (1-h) inter)
-    mixture_rhs_halved: float  # |E|/2 variant, reported for comparison
     abs_error: float
     homophily: float
     e_intra: float
@@ -388,8 +383,7 @@ def energy_identity_check(g: Graph, x: np.ndarray) -> EnergyIdentityReport:
 
         S_high = |E| * (h * E_intra + (1 - h) * E_inter)
 
-    which must hold to machine precision. The |E|/2 variant is reported as
-    well but is not an identity.
+    which must hold to machine precision.
     """
     if g.labels is None:
         raise ValueError("labels absent")
@@ -402,7 +396,6 @@ def energy_identity_check(g: Graph, x: np.ndarray) -> EnergyIdentityReport:
     return EnergyIdentityReport(
         s_high=lhs,
         mixture_rhs=rhs,
-        mixture_rhs_halved=rhs / 2.0,
         abs_error=abs(lhs - rhs),
         homophily=h,
         e_intra=intra,
@@ -410,7 +403,8 @@ def energy_identity_check(g: Graph, x: np.ndarray) -> EnergyIdentityReport:
     )
 
 
-def response_grid(filters, n_points: int = 201):
-    """(lambda grid, response per filter) rows for plotting/TSV export."""
-    lam = np.linspace(0.0, 2.0, n_points)
+def response_grid(filters):
+    """(lambda grid of 201 points on [0, 2], response per filter) rows for
+    plotting/TSV export."""
+    lam = np.linspace(0.0, 2.0, 201)
     return lam, {str(f): np.asarray(filter_response(f, lam)) for f in filters}

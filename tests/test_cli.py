@@ -342,7 +342,6 @@ def test_filter_order_without_a_bank_is_usage_error(tmp_path, capsys, command, o
 def test_impossible_shot_count_is_usage_error_before_pretraining(tmp_path, monkeypatch, capsys, command, k):
     # the generated classes hold ~20 nodes each, too few for 100 shots
     data = gen(tmp_path)
-    monkeypatch.delenv("HSGPPT_THREADS", raising=False)
     monkeypatch.setattr(evaluate, "pretrain", lambda *a, **kw: pytest.fail("pre-trained before the split check"))
     out = tmp_path / "o"
     capsys.readouterr()
@@ -441,23 +440,6 @@ def test_config_values_take_their_key_type(tmp_path, capsys):
     assert '"d": 4.0' in (out / "config.json").read_text()
 
 
-def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
-    data = gen(tmp_path)
-    monkeypatch.setenv("HSGPPT_THREADS", "two")
-    assert run("eval", "--data", data, "--out", tmp_path / "ev", "--seeds", "0,1", "--k", 2,
-               "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1) == EXIT_USAGE
-    assert "HSGPPT_THREADS" in capsys.readouterr().err
-
-
-def test_negative_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
-    data = gen(tmp_path)
-    monkeypatch.setenv("HSGPPT_THREADS", "-2")
-    assert run("eval", "--data", data, "--out", tmp_path / "ev", "--seeds", "0,1", "--k", 2,
-               "--hidden", 4, "--pretrain-epochs", 1, "--tune-epochs", 1) == EXIT_USAGE
-    assert "HSGPPT_THREADS must be 0 or more" in capsys.readouterr().err
-    assert not (tmp_path / "ev").exists()
-
-
 def test_negative_worker_count_is_usage_error(tmp_path, capsys):
     data = gen(tmp_path)
     for mode in ("transductive", "inductive"):
@@ -512,6 +494,44 @@ def test_edgeless_labelled_graph_has_no_homophily(tmp_path, capsys):
     assert run("tune", "--data", edgeless, "--ckpt", pre / "model.ckpt", "--out", tmp_path / "tu",
                "--k", 2, "--n-prompt", 3, "--epochs", 2, "--eval-every", 1) == EXIT_OK
     assert (tmp_path / "tu" / "state.bin").is_file()
+
+
+def _strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity that RFC 8259 has no room for."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _copy_dataset(src, dst, **bodies):
+    """src's files in dst, with the bodies given by file name (dots as _)."""
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(bodies.get(p.name.replace(".", "_"), p.read_bytes()))
+    return dst
+
+
+@pytest.mark.parametrize("kind", ["normalized", "unnormalized"])
+def test_edgeless_graph_has_no_mean_s_high(tmp_path, capsys, kind):
+    # every column reads 1.0 normalized (isolated nodes keep identity rows)
+    # and 0.0 unnormalized, so the mean is undefined either way
+    data = _copy_dataset(gen(tmp_path), tmp_path / "edgeless", edges_tsv=b"")
+    out = tmp_path / "an"
+    assert run("analyze", "--data", data, "--out", out, "--kind", kind) == EXIT_OK
+    assert _strict_json(out / "analysis.json")["mean_s_high"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_all_zero_features_have_no_mean_s_high(tmp_path, capsys):
+    # no column has a nonzero norm, so every column's S_high is NaN
+    data = gen(tmp_path)
+    header = (data / "features.bin").read_bytes()[:16]
+    zeros = _copy_dataset(data, tmp_path / "zeros", features_bin=header + bytes(8 * 40 * 6))
+    out = tmp_path / "an"
+    assert run("analyze", "--data", zeros, "--out", out) == EXIT_OK
+    assert _strict_json(out / "analysis.json")["mean_s_high"] is None
 
 
 def test_weighted_f1_is_named_weighted(tmp_path, capsys):

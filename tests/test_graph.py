@@ -257,6 +257,16 @@ def test_dataset_roundtrip(tmp_path):
     assert h.n_classes == 2
 
 
+def test_labelled_graph_without_a_class_count_round_trips(tmp_path):
+    # the graph records one more than its largest label, so save_graph
+    # writes a count its own labels fit under
+    g = Graph("t", np.array([[0, 1], [1, 2]]), np.zeros((3, 1)), labels=[0, 1, 0])
+    assert g.n_classes == 2
+    save_graph(g, tmp_path / "ds")
+    back = load_graph(tmp_path / "ds")
+    assert back.n_classes == 2 and back.labels.tolist() == [0, 1, 0]
+
+
 def test_save_graph_text_matches_per_line_format(tmp_path):
     rng = np.random.default_rng(3)
     n = 12346

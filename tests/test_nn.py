@@ -54,7 +54,6 @@ def test_glorot_bounds_and_shape():
     assert w.shape == (300, 100)
     assert np.all(np.abs(w) <= limit)
     assert w.std() > 0.5 * limit / np.sqrt(3)  # actually spread out, not degenerate
-    assert glorot(rng, 4, 4, shape=(2, 3)).shape == (2, 3)
 
 
 def test_linear_identity_is_affine():
@@ -337,7 +336,7 @@ def test_finite_diff_check_subsamples_large_params():
         big.grad += np.ones(500)
         return float(big.value.sum())
 
-    rep = finite_diff_check(loss_fn, [big], max_coords=50, seed=1)
+    rep = finite_diff_check(loss_fn, [big], seed=1)
     assert rep.entries[0].checked == 50
 
 
