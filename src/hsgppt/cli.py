@@ -254,7 +254,8 @@ def _require(cfg, *keys):
 
 
 def _nonempty_list(cfg, key, conv):
-    """The comma-separated list under key; an empty one is a usage error."""
+    """The comma-separated list under key; an empty list, a repeated entry
+    and a negative seed are usage errors."""
     text = cfg[key]
     try:
         values = [conv(tok) for tok in str(text).split(",") if tok.strip() != ""]
@@ -262,6 +263,12 @@ def _nonempty_list(cfg, key, conv):
         raise CliUsageError(f"cannot parse list: {text!r}")
     if not values:
         raise CliUsageError(f"at least one {key[:-1].replace('_', ' ')} is required")
+    flag = "--" + key.replace("_", "-")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise CliUsageError(f"{flag} lists {value} more than once")
+    if key == "seeds" and min(values) < 0:
+        raise CliUsageError(f"{flag} takes seeds of 0 or more, not {min(values)}")
     return values
 
 
@@ -484,17 +491,15 @@ def _cmd_ablate(cfg):
     _require(cfg, "data", "out")
     seeds = _nonempty_list(cfg, "seeds", int)
     g = _load_data(cfg)
-    rows = evaluate.run_ablation_study(g, _pipeline_config("ablate", cfg), seeds)
-    tsv_rows = [
-        (r.variant, r.mean_f1, r.std_f1 if r.std_f1 is not None else float("nan"), *r.per_seed)
-        for r in rows
-    ]
+    reports = evaluate.run_ablation_study(g, _pipeline_config("ablate", cfg), seeds)
+    tsv_rows = [(variant, r.mean_f1, r.std_f1 if r.std_f1 is not None else float("nan"),
+                 *(s.f1 for s in r.per_seed)) for variant, r in reports.items()]
     seed_cols = [f"seed{s}" for s in seeds]
     files = {"ablation.tsv": _tsv(["variant", "mean_f1", "std_f1", *seed_cols], tsv_rows)}
     lines = []
-    for r in rows:
+    for variant, r in reports.items():
         std = f" +/- {r.std_f1:.4f}" if r.std_f1 is not None else ""
-        lines.append(f"{r.variant:<16} {r.mean_f1:.4f}{std}")
+        lines.append(f"{variant:<16} {r.mean_f1:.4f}{std}")
     return files, "\n".join(lines)
 
 

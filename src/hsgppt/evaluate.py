@@ -144,19 +144,23 @@ def _sample_std(values) -> float | None:
     return float(np.std(values, ddof=1))
 
 
-def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None):
+def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, backbones=None):
     """One pretrain -> freeze -> split -> tune -> predict -> score round on g.
 
-    The backbone is pre-trained on source (default g) unless a frozen one is
-    given. Test labels are read only at scoring. Returns (SeedResult,
-    {phase: seconds}).
+    The backbone is pre-trained on source (default g). backbones, a dict
+    the caller keeps for one source, maps each seeded PretrainConfig to its
+    frozen backbone: one found there is reused, one trained is added. Test
+    labels are read only at scoring. Returns (SeedResult, {phase: seconds}).
     """
     timings = {}
-    if frozen is None:
+    backbones = {} if backbones is None else backbones
+    pre_cfg = replace(cfg.pretrain, seed=seed)
+    if pre_cfg not in backbones:
         t0 = time.perf_counter()
-        model, _ = pretrain(g if source is None else source, replace(cfg.pretrain, seed=seed))
-        frozen = freeze(model)
+        model, _ = pretrain(g if source is None else source, pre_cfg)
+        backbones[pre_cfg] = freeze(model)
         timings["pretrain"] = time.perf_counter() - t0
+    frozen = backbones[pre_cfg]
     split = kshot_split(g, cfg.k_shots, seed=seed)
     t0 = time.perf_counter()
     state, _ = tune(g, frozen, split, replace(cfg.tune, seed=seed))
@@ -171,13 +175,14 @@ def _run_seed(g: Graph, cfg: PipelineConfig, seed: int, source=None, frozen=None
     return result, timings
 
 
-def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalReport:
+def _report(name, mode, extra, g, cfg, seeds, workers, source=None, backbones=None) -> EvalReport:
     """_run_seed over seeds, aggregated, with each phase's time summed over
     seeds (as "<phase>_seed_sum").
 
     Seeds are independent, so workers > 1 fans them out to processes; the
     per-seed results are identical to a serial run, and the sums then add
     seconds spent in parallel, so they can exceed the run's wall clock.
+    The serial path passes backbones on to each _run_seed.
     """
     # a shot count the classes cannot give fails here, before any
     # pre-training: class sizes do not depend on the seed, and a split draws
@@ -190,7 +195,7 @@ def _report(name, mode, extra, g, cfg, seeds, workers, source=None) -> EvalRepor
             futures = [pool.submit(_run_seed, g, cfg, seed, source) for seed in seeds]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_run_seed(g, cfg, seed, source) for seed in seeds]
+        outcomes = [_run_seed(g, cfg, seed, source, backbones) for seed in seeds]
     rows = [result for result, _ in outcomes]
     seconds = {"pretrain_seed_sum": 0.0, "tune_seed_sum": 0.0}
     for _, timings in outcomes:
@@ -241,40 +246,18 @@ def run_inductive(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AblationRow:
-    variant: str
-    per_seed: list
-    mean_f1: float
-    std_f1: float | None
-
-
-def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> list:
-    """Tune every ablation variant; backbones are shared where configs agree."""
-    kshot_split(g, cfg.k_shots, seed=0)  # fails before any pre-training, as in _report
-    variants = list(variants) if variants is not None else list(ABLATION_VARIANTS)
+def run_ablation_study(g: Graph, cfg: PipelineConfig, seeds, variants=None) -> dict:
+    """{variant: EvalReport}, each variant run as eval --variant runs it;
+    variants that pre-train alike share each seed's backbone."""
     backbones = {}
-    rows = []
-    for variant in variants:
+    reports = {}
+    for variant in variants if variants is not None else ABLATION_VARIANTS:
         pre_cfg, tune_cfg = variant_configs(variant, cfg.pretrain, cfg.tune)
         variant_cfg = replace(cfg, pretrain=pre_cfg, tune=tune_cfg)
-        scores = []
-        for seed in seeds:
-            key = (pre_cfg.filters, seed)
-            if key not in backbones:
-                model, _ = pretrain(g, replace(pre_cfg, seed=seed))
-                backbones[key] = freeze(model)
-            result, _ = _run_seed(g, variant_cfg, seed, frozen=backbones[key])
-            scores.append(result.f1)
-        rows.append(
-            AblationRow(
-                variant=variant,
-                per_seed=[float(s) for s in scores],
-                mean_f1=float(np.mean(scores)),
-                std_f1=_sample_std(scores),
-            )
+        reports[variant] = _report(
+            g.name, "transductive", [g.name], g, variant_cfg, seeds, 1, backbones=backbones
         )
-    return rows
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +320,16 @@ def filter_sweep_study(h_values, seeds, params: CsbmParams | None = None) -> lis
     """
     base = params if params is not None else CsbmParams()
     kernels = [kernel for kernel, _ in REFERENCE_FILTERS.values()]
+    # every (h, seed) is checked before the first graph is generated
+    grid = [replace(base, h=float(h), seed=seed) for h in h_values for seed in seeds]
     cells = []
-    for h in h_values:
-        for seed in seeds:
-            g = generate(replace(base, h=float(h), seed=seed))
-            views = bank_filter_apply(laplacian(g, "normalized"), kernels, g.features)
-            split_idx = split_50_20_30(g.n_nodes, seed=derive_seed(seed, 4))
-            for (which, (_, scale)), view in zip(REFERENCE_FILTERS.items(), views):
-                score = train_linear_probe(scale * view, g.labels, 2, split_idx, seed=seed)
-                cells.append(SweepCell(h=float(h), seed=seed, filter=which, test_f1=float(score)))
+    for p in grid:
+        g = generate(p)
+        views = bank_filter_apply(laplacian(g, "normalized"), kernels, g.features)
+        split_idx = split_50_20_30(g.n_nodes, seed=derive_seed(p.seed, 4))
+        for (which, (_, scale)), view in zip(REFERENCE_FILTERS.items(), views):
+            score = train_linear_probe(scale * view, g.labels, 2, split_idx, seed=p.seed)
+            cells.append(SweepCell(h=p.h, seed=p.seed, filter=which, test_f1=float(score)))
     return cells
 
 

@@ -237,11 +237,11 @@ def test_criterion_10_directional_ablation():
         tune=TuneConfig(epochs=400, eval_every=25),
         k_shots=5,
     )
-    rows = run_ablation_study(
+    reports = run_ablation_study(
         g, cfg, seeds=[0, 1, 2, 3, 4],
         variants=["full", "low_pass_only", "single_prompt", "no_prompt"],
     )
-    mean = {r.variant: r.mean_f1 for r in rows}
+    mean = {variant: rep.mean_f1 for variant, rep in reports.items()}
     gaps = {
         "full-single_prompt": mean["full"] - mean["single_prompt"],
         "single_prompt-no_prompt": mean["single_prompt"] - mean["no_prompt"],
@@ -249,13 +249,13 @@ def test_criterion_10_directional_ablation():
     }
     ok_flag = all(v >= -0.01 for v in gaps.values())
     detail = (
-        ", ".join(f"{r.variant} {r.mean_f1:.4f}" for r in rows)
+        ", ".join(f"{variant} {rep.mean_f1:.4f}" for variant, rep in reports.items())
         + "; gaps "
         + ", ".join(f"{k} {v:+.4f}" for k, v in gaps.items())
     )
     ok = report(10, "directional ablation ordering", ok_flag, detail)
-    for r in rows:
-        print(f"    {r.variant}: per-seed {[round(s, 4) for s in r.per_seed]}")
+    for variant, rep in reports.items():
+        print(f"    {variant}: per-seed {[round(s.f1, 4) for s in rep.per_seed]}")
     assert ok
 
 

@@ -266,6 +266,46 @@ def test_empty_list_is_usage_error(tmp_path, capsys, command, flag, noun, writte
     assert not (out / written).exists()
 
 
+_NEGATIVE_SEED = "--seeds takes seeds of 0 or more, not -1"
+_REPEATED_SEED = "--seeds lists 1 more than once"
+
+
+@pytest.mark.parametrize("command, flag, value, err", [
+    ("eval", "--seeds", "0,-1", _NEGATIVE_SEED),
+    ("ablate", "--seeds", "0,-1", _NEGATIVE_SEED),
+    ("sweep", "--seeds", "0,-1", _NEGATIVE_SEED),
+    ("eval", "--seeds", "1,0,1", _REPEATED_SEED),
+    ("ablate", "--seeds", "1,0,1", _REPEATED_SEED),
+    ("sweep", "--seeds", "1,0,1", _REPEATED_SEED),
+    ("sweep", "--h-values", "0.2,0.8,0.2", "--h-values lists 0.2 more than once"),
+], ids=["eval-negative-seed", "ablate-negative-seed", "sweep-negative-seed",
+        "eval-repeated-seed", "ablate-repeated-seed", "sweep-repeated-seed", "sweep-repeated-h"])
+def test_bad_list_entry_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys,
+                                                        command, flag, value, err):
+    # a negative seed failed in numpy only after the earlier seeds had run,
+    # and a repeated entry reran identical work
+    data = gen(tmp_path)
+    for name in ("pretrain", "generate"):
+        monkeypatch.setattr(evaluate, name, lambda *a, **kw: pytest.fail("ran before the list check"))
+    out = tmp_path / "o"
+    data_args = () if command == "sweep" else ("--data", data)
+    capsys.readouterr()
+    assert run(command, "--out", out, *data_args, flag, value) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {err}\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_every_h_before_training(tmp_path, monkeypatch, capsys):
+    # h=1.5 failed only after every h=0.2 graph had trained its probes
+    monkeypatch.setattr(evaluate, "train_linear_probe",
+                        lambda *a, **kw: pytest.fail("trained a probe before the h check"))
+    out = tmp_path / "o"
+    assert run("sweep", "--out", out, "--h-values", "0.2,1.5", "--seeds", "0",
+               "--n", 40, "--f", 6, "--d", 5.0) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: h must lie in [0, 1]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags, field", [
     ("pretrain", ("--epochs", 0), "epochs"),
     ("pretrain", ("--hidden", 0), "hidden_dim"),
@@ -386,12 +426,24 @@ def test_feature_transform_flag(tmp_path):
     assert cfg["feature_transform"] == "row-normalize"
 
 
-def test_eval_low_pass_only_matches_ablate_row(tmp_path):
+# sha256 of ablate's ablation.tsv and stdout for the small run below
+PINNED_ABLATE = {
+    "ablation.tsv": "b74927b1b40f94583bd4e8ed0591ef89140590a5dfee600b8dccbfa366a60858",
+    "stdout": "4df7535f171023ebb1bbd86e14e52c492292ca8f9e78483590caec02876dcd12",
+}
+
+
+def test_eval_low_pass_only_matches_ablate_row(tmp_path, capsys):
     data = gen(tmp_path)
     small = ("--data", data, "--seeds", "0,1", "--k", 2, "--hidden", 8,
              "--pretrain-epochs", 3, "--patience", 3, "--tune-epochs", 3,
              "--eval-every", 3, "--n-prompt", 3)
+    capsys.readouterr()
     assert run("ablate", "--out", tmp_path / "ab", *small) == EXIT_OK
+    written = {"ablation.tsv": (tmp_path / "ab" / "ablation.tsv").read_bytes(),
+               "stdout": capsys.readouterr().out.encode()}
+    for name, digest in PINNED_ABLATE.items():
+        assert hashlib.sha256(written[name]).hexdigest() == digest, name
     rows = [r.split("\t") for r in (tmp_path / "ab" / "ablation.tsv").read_text().splitlines()]
     ablate_f1 = {r[0]: [float(x) for x in r[3:]] for r in rows[1:]}
     reports = {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hsgppt.evaluate as evaluate
 from hsgppt.csbm import CsbmParams, generate
 from hsgppt.evaluate import (
     EvalReport,
@@ -21,7 +22,7 @@ from hsgppt.evaluate import (
     weighted_f1,
 )
 from hsgppt.pretrain import PretrainConfig
-from hsgppt.prompt import TuneConfig
+from hsgppt.prompt import ABLATION_VARIANTS, TuneConfig
 
 
 def micro_cfg(**kw):
@@ -160,14 +161,34 @@ def test_run_inductive_workers_match_serial():
 def test_ablation_rows_and_determinism():
     g = generate(CsbmParams(n=40, f=4, d_avg=4.0, h=0.3, mu=4.0, seed=2))
     cfg = micro_cfg()
-    rows = run_ablation_study(g, cfg, seeds=[0, 1], variants=["full", "no_prompt"])
-    assert [r.variant for r in rows] == ["full", "no_prompt"]
-    for r in rows:
-        assert len(r.per_seed) == 2
-        assert r.mean_f1 == pytest.approx(np.mean(r.per_seed))
-        assert r.std_f1 is not None
+    reports = run_ablation_study(g, cfg, seeds=[0, 1], variants=["full", "no_prompt"])
+    assert list(reports) == ["full", "no_prompt"]
+    for rep in reports.values():
+        f1s = [s.f1 for s in rep.per_seed]
+        assert len(f1s) == 2
+        assert rep.mean_f1 == pytest.approx(np.mean(f1s))
+        assert rep.std_f1 is not None
     again = run_ablation_study(g, cfg, seeds=[0, 1], variants=["full", "no_prompt"])
-    assert [r.per_seed for r in again] == [r.per_seed for r in rows]
+    assert [[s.f1 for s in rep.per_seed] for rep in again.values()] == [
+        [s.f1 for s in rep.per_seed] for rep in reports.values()
+    ]
+
+
+def test_ablation_shares_backbones(monkeypatch):
+    # only low_pass_only changes pre-training, so the five variants need two
+    # backbones per seed: the full bank's and the low-pass kernel's
+    g = generate(CsbmParams(n=40, f=4, d_avg=4.0, h=0.3, mu=4.0, seed=2))
+    cfg = micro_cfg()
+    calls, pretrain = [], evaluate.pretrain
+
+    def counting(graph, pre_cfg):
+        calls.append((pre_cfg.filters, pre_cfg.seed))
+        return pretrain(graph, pre_cfg)
+
+    monkeypatch.setattr(evaluate, "pretrain", counting)
+    run_ablation_study(g, cfg, seeds=[0, 1], variants=ABLATION_VARIANTS)
+    low_pass = ((0, cfg.pretrain.order),)
+    assert calls == [(None, 0), (None, 1), (low_pass, 0), (low_pass, 1)]
 
 
 def test_filter_sweep_cells_and_table():
